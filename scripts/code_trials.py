@@ -20,7 +20,7 @@ from rateless_dmt import (
 from rateless_dmt.permcode import write_trials_csv
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--L", type=int, default=2)
@@ -29,12 +29,12 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--eta-db", default="10,15,20,25,30")
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     etas = [SnrPoint.from_db(float(d)) for d in args.eta_db.split(",")]
-    R = args.bits / args.L
+    R = args.bits / args.L  # the codebook's own rate, recorded in the CSV metadata
 
     searched, evidence = search_permutation_code(args.L, args.bits, seed=args.seed)
     baseline = identity_code(args.L, args.bits)
@@ -43,9 +43,7 @@ def main() -> None:
     for tag, code in (("searched", searched), ("identity", baseline)):
         save_codebook(code, str(out / f"codebook_{tag}.txt"))
         results = [
-            run_rateless_code_trials(
-                code, eta, args.trials, args.seed, R=R, stream=i, workers=args.workers
-            )
+            run_rateless_code_trials(code, eta, args.trials, args.seed, stream=i, workers=args.workers)
             for i, eta in enumerate(etas)
         ]
         path = out / f"code_trials_{tag}.csv"

@@ -35,11 +35,11 @@ def emit(cfg: RatelessConfig, path: Path, per_segment: int) -> None:
     print(f"wrote {path} ({len(grid)} r_n values per scheme)")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--per-segment", type=int, default=512)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit(RatelessConfig(AntennaConfig(2, 2), L=2), out / "dmt_2x2_L2.csv", args.per_segment)

@@ -21,7 +21,7 @@ from rateless_dmt import (
 from rateless_dmt.simulate import write_experiment_csv
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--L", type=int, default=2)
@@ -30,7 +30,7 @@ def main() -> None:
     ap.add_argument("--eta-db", default="10,20,30,40,50,60")
     ap.add_argument("--r-n", default="0.125,0.25,0.375")
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ sequential ML prefix decoding, and a CLI that reproduces the curves and
 runs the verification suite.
 """
 
-from .configs import AntennaConfig, RateSpec, RatelessConfig
+from .configs import AntennaConfig, RatelessConfig
 from .permcode import (
     Constellation,
     ErrorDecomposition,
@@ -25,23 +25,17 @@ from .permcode import (
     universality_margin,
 )
 from .simulate import (
-    ChannelRealization,
     EffectiveRate,
     OutageProfile,
     SlopeEstimate,
     SnrPoint,
-    StopOutcome,
-    block_mutual_info,
     diversity_slope,
     diversity_slope_from_neg_log2,
     effective_rate,
     estimate_outage_profile,
-    rateless_stop,
     run_rateless_experiment,
-    sample_channel,
     siso_outage_closed_form,
     siso_outage_neg_log2,
-    siso_outage_profile,
 )
 from .tradeoff import (
     DmtCurve,

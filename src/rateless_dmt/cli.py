@@ -11,6 +11,7 @@ failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -92,11 +93,23 @@ def _parse_eta_list(raw: str) -> list[float]:
     values = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty list")
+    for db in values:
+        # the linear SNR must be a finite positive float: 4000 dB overflows, -4000 dB underflows
+        try:
+            linear = 10.0 ** (db / 10.0)
+        except OverflowError:
+            raise ValueError(f"{db} dB overflows") from None
+        if not (math.isfinite(linear) and linear > 0):
+            raise ValueError(f"{db} dB is not a finite positive SNR")
     return values
 
 
 def _positive(x) -> bool:
     return x >= 1
+
+
+def _nonnegative(x) -> bool:
+    return x >= 0
 
 
 def _open_out(out_dir: str, name: str):
@@ -143,10 +156,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     N = _require(cfg_raw, "N", int, _positive, ">= 1")
     L = _require(cfg_raw, "L", int, _positive, ">= 1")
     T = _optional(cfg_raw, "T", int, 1, _positive, ">= 1")
-    r_n = _require(cfg_raw, "r_n", Fraction, lambda v: v >= 0, ">= 0")
+    r_n = _require(cfg_raw, "r_n", Fraction, _nonnegative, ">= 0")
     eta_db = _require(cfg_raw, "eta_db_list", _parse_eta_list)
     trials = _require(cfg_raw, "trials", int, _positive, ">= 1")
-    seed = _require(cfg_raw, "seed", int)
+    seed = _require(cfg_raw, "seed", int, _nonnegative, ">= 0")
     cfg = RatelessConfig(AntennaConfig(M, N), L=L, T=T)
     if r_n * L >= cfg.min_antennas:
         print(
@@ -184,7 +197,7 @@ def cmd_codes(args: argparse.Namespace) -> int:
     cfg_raw = _gather(args)
     eta_db = _require(cfg_raw, "eta_db_list", _parse_eta_list)
     trials = _require(cfg_raw, "trials", int, _positive, ">= 1")
-    seed = _require(cfg_raw, "seed", int)
+    seed = _require(cfg_raw, "seed", int, _nonnegative, ">= 0")
     budget = _optional(
         cfg_raw, "budget", int, permcode.DEFAULT_SEARCH_BUDGET, _positive, ">= 1"
     )
@@ -212,12 +225,9 @@ def cmd_codes(args: argparse.Namespace) -> int:
                 + ", ".join(f"l={l + 1}: {d:.6g}" for l, d in enumerate(evidence.per_prefix))
             )
 
-    R = code.bits / code.L
     etas = [SnrPoint.from_db(db) for db in eta_db]
     results = [
-        permcode.run_rateless_code_trials(
-            code, eta, trials, seed, R=R, stream=i, workers=args.workers
-        )
+        permcode.run_rateless_code_trials(code, eta, trials, seed, stream=i, workers=args.workers)
         for i, eta in enumerate(etas)
     ]
     book_path = _open_out(args.out, "codebook.txt")
@@ -228,7 +238,7 @@ def cmd_codes(args: argparse.Namespace) -> int:
         {
             "L": L,
             "bits": bits,
-            "R": tradeoff.format_sig12(R),
+            "R": tradeoff.format_sig12(code.bits / code.L),
             "eta_db_list": ",".join(tradeoff.format_sig12(d) for d in eta_db),
             "trials": trials,
             "seed": seed,
@@ -243,6 +253,10 @@ def cmd_codes(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else verify.DEFAULT_SEED
+    if seed < 0:
+        raise ConfigError(f"value for `seed` out of range (>= 0): {seed}")
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise ConfigError(f"value for `tol-scale` out of range (finite, > 0): {args.tol_scale}")
     results = verify.run_all(seed=seed, tol_scale=args.tol_scale)
     print(verify.format_report(results))
     return 0 if all(r.passed for r in results) else 1
@@ -315,6 +329,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"value for `workers` out of range (>= 1): {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,8 @@
-"""System dimension and rate-target configuration objects."""
+"""System dimension configuration objects."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,11 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class RatelessConfig:
-    """Codeword structure: L blocks per codeword, T channel uses per block."""
+    """Codeword structure: L blocks per codeword, T channel uses per block.
+
+    T is validated metadata only: it cancels from the stopping rule, so
+    no computation reads it.
+    """
 
     antennas: AntennaConfig
     L: int
@@ -49,35 +51,3 @@ class RatelessConfig:
     def min_antennas(self) -> int:
         return self.antennas.min_antennas
 
-
-@dataclass(frozen=True)
-class RateSpec:
-    """Rate targets: R in bits per channel use, per-level gain r_n, and r_L = L * r_n.
-
-    Construct through :meth:`from_multiplexing` so the r_L = L * r_n tie
-    holds exactly; the raw constructor only checks signs.
-    """
-
-    R: float
-    r_n: Fraction
-    r_L: Fraction
-
-    def __post_init__(self):
-        if self.R < 0:
-            raise ValueError(f"R must be >= 0, got {self.R}")
-        if self.r_n < 0 or self.r_L < 0:
-            raise ValueError("multiplexing gains must be >= 0")
-
-    @classmethod
-    def from_multiplexing(cls, r_n, L: int, eta_linear: float) -> "RateSpec":
-        """Build the rate spec for per-level gain r_n at a finite SNR.
-
-        R is pinned to r_n * log2(eta), the finite-SNR reading of the
-        gain definition.
-        """
-        r_n = Fraction(r_n)
-        if L < 1:
-            raise ValueError(f"L must be >= 1, got {L}")
-        if eta_linear <= 0:
-            raise ValueError(f"eta_linear must be > 0, got {eta_linear}")
-        return cls(R=float(r_n) * math.log2(eta_linear), r_n=r_n, r_L=L * r_n)

@@ -20,16 +20,10 @@ from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import rng
-from .simulate import (
-    EffectiveRate,
-    OutageProfile,
-    SnrPoint,
-    effective_rate,
-)
-from .tradeoff import format_sig12
-
-_LN2 = math.log(2.0)
+from . import rng, simulate
+from .configs import AntennaConfig, RatelessConfig
+from .simulate import EffectiveRate, OutageProfile, SnrPoint, effective_rate
+from .tradeoff import format_sig12, write_csv_header
 
 MAX_BITS = 8
 
@@ -138,13 +132,7 @@ def prefix_min_products(code: PermutationCode) -> tuple[float, ...]:
     Entry l - 1 is min over message pairs of prod_{k <= l} |x_k - x'_k|.
     """
     i, j = np.triu_indices(code.n_messages, k=1)
-    prod = np.ones(len(i))
-    minima = []
-    for k in range(code.L):
-        row = code.symbol_table[k]
-        prod = prod * np.abs(row[i] - row[j])
-        minima.append(float(prod.min()))
-    return tuple(minima)
+    return tuple(reversed(_objective(code.constellation.points, code.perms, i, j)))
 
 
 @dataclass(frozen=True)
@@ -287,20 +275,29 @@ class ReceivedPrefix:
             raise ValueError(f"l must be >= 1, got {self.l}")
 
 
-def ml_decode_prefix(code: PermutationCode, rx: ReceivedPrefix) -> int:
-    """Maximum-likelihood message over the received prefix.
+def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) -> np.ndarray:
+    """Batched maximum-likelihood decoding over the prefix of blocks in `table`.
 
-    Minimizes the summed squared distance to sqrt(eta) * h * x over all
-    messages; ties resolve to the smallest message index.
+    table has shape (l, n_messages); row t of y (at least l columns) was
+    received through gain h[t]. Minimizes the summed squared distance to
+    sqrt(eta) * h * x over all messages; ties resolve to the smallest
+    message index.
     """
+    scale = (sqrt_eta * h)[:, None]
+    d2 = np.zeros((len(h), table.shape[1]))
+    for k, row in enumerate(table):
+        d2 += np.abs(y[:, k][:, None] - scale * row[None, :]) ** 2
+    return np.argmin(d2, axis=1)
+
+
+def ml_decode_prefix(code: PermutationCode, rx: ReceivedPrefix) -> int:
+    """Maximum-likelihood message over one received prefix, through :func:`ml_decode`."""
     if rx.l > code.L:
         raise ValueError(f"prefix length {rx.l} exceeds code length {code.L}")
     if rx.h == 0:
         warnings.warn("zero channel gain: all hypotheses equidistant, tie-break applies", stacklevel=2)
-    scale = math.sqrt(rx.eta.eta_linear) * rx.h
-    cands = scale * code.symbol_table[: rx.l]
-    d2 = np.sum(np.abs(rx.y[:, None] - cands) ** 2, axis=0)
-    return int(np.argmin(d2))
+    h = np.array([rx.h], dtype=complex)
+    return int(ml_decode(code.symbol_table[: rx.l], rx.y[None, :], h, math.sqrt(rx.eta.eta_linear))[0])
 
 
 @dataclass(frozen=True)
@@ -338,75 +335,53 @@ class CodeTrialResult:
     R: float
 
 
-def _resolve_rate(code: PermutationCode, eta: SnrPoint, R, r_n, T: int) -> float:
-    if (R is None) == (r_n is None):
-        raise ValueError("pass exactly one of R, r_n")
-    if r_n is not None:
-        R = float(r_n) * eta.log2_eta
-    if abs(code.L * R * T - code.bits) > 1e-9:
-        raise ValueError(
-            f"rate mismatch: codebook carries {code.bits} bits but L*R*T = {code.L * R * T}"
-        )
-    return float(R)
-
-
-def _trial_counts(
-    code: PermutationCode,
-    eta: SnrPoint,
-    R: float,
-    trials: int,
-    seed: int,
-    stream: int,
-    workers: int,
-    chunk: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(stop_counts, err_counts): stops at 1..L then outage; errors per stop block.
+class _PrefixErrors:
+    """Decoder hook for :func:`simulate.short_counts`: errors per stopping block.
 
     Trial layout in the substream: one uniform for the message, two for
     the fading draw, 2L for the block noises. The layout is independent
     of the codebook, so runs with equal (seed, stream) share all
     randomness; that is what makes paired code comparisons tight.
     """
-    L = code.L
-    n_msgs = code.n_messages
-    key = rng.stream_key(seed, stream)
-    uniforms = 3 + 2 * L
-    eta_lin = eta.eta_linear
-    sqrt_eta = math.sqrt(eta_lin)
-    table = code.symbol_table
-    # bound the per-chunk distance matrix to ~32 MB for large codebooks
-    chunk = min(chunk, max(1 << 12, (1 << 22) // n_msgs))
 
-    def one_chunk(t0: int, n: int) -> np.ndarray:
-        u = rng.trial_uniforms(key, uniforms, t0, n)
+    lead = 1
+
+    def __init__(self, code: PermutationCode, eta: SnrPoint):
+        self.table = code.symbol_table
+        self.trail = 2 * code.L
+        self.sqrt_eta = math.sqrt(eta.eta_linear)
+
+    def __call__(self, u: np.ndarray, h: np.ndarray, short: list[np.ndarray]) -> np.ndarray:
+        L, n_msgs = self.table.shape
         msg = np.minimum((u[:, 0] * n_msgs).astype(np.int64), n_msgs - 1)
-        h = rng.complex_normals(u[:, 1:3])[:, 0]
+        h = h[:, 0]
         noise = rng.complex_normals(u[:, 3:])
-        ib = np.log1p(eta_lin * np.abs(h) ** 2) / _LN2
-        # l * I_b >= L * R first succeeds at `stop`; all L failing is outage
-        failed = np.zeros(n, dtype=np.int64)
-        for l in range(1, L + 1):
-            failed += l * ib < L * R
-        stop = failed + 1  # in 1..L+1, L+1 meaning outage
-        stop_counts = np.bincount(stop, minlength=L + 2)[1:]
-        tx = table[:, msg].T
-        y = sqrt_eta * h[:, None] * tx + noise
+        y = self.sqrt_eta * h[:, None] * self.table[:, msg].T + noise
         err_counts = np.zeros(L, dtype=np.int64)
+        undecided = np.ones(len(u), dtype=bool)
         for l in range(1, L + 1):
-            sel = stop == l
-            if not np.any(sel):
-                continue
-            scale = (sqrt_eta * h[sel])[:, None]
-            d2 = np.zeros((int(np.count_nonzero(sel)), n_msgs))
-            for k in range(l):
-                d2 += np.abs(y[sel, k][:, None] - scale * table[k][None, :]) ** 2
-            decoded = np.argmin(d2, axis=1)
-            err_counts[l - 1] = np.count_nonzero(decoded != msg[sel])
-        return np.concatenate((stop_counts, err_counts))
+            sel = undecided & ~short[l - 1]  # stops at block l
+            undecided = short[l - 1]
+            if np.any(sel):
+                decoded = ml_decode(self.table[:l], y[sel], h[sel], self.sqrt_eta)
+                err_counts[l - 1] = np.count_nonzero(decoded != msg[sel])
+        return err_counts
 
-    parts = rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers)
-    totals = rng.reduce_counts(parts)
-    return totals[: L + 1], totals[L + 1 :]
+
+def _code_counts(
+    code: PermutationCode, eta: SnrPoint, trials: int, seed: int, stream: int, workers: int, chunk: int
+) -> tuple[OutageProfile, np.ndarray, np.ndarray]:
+    """(outage profile, stop histogram, errors per stopping block) at the code's own rate."""
+    L = code.L
+    cfg = RatelessConfig(AntennaConfig(1, 1), L=L)
+    # bound the per-chunk distance matrix to ~32 MB for large codebooks
+    chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
+    counts = simulate.short_counts(
+        cfg, eta, code.bits / L, trials, seed,
+        stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
+    )
+    profile, stop_hist = simulate.profile_and_stops(counts[:L], trials)
+    return profile, stop_hist, counts[L:]
 
 
 def run_rateless_code_trials(
@@ -415,34 +390,29 @@ def run_rateless_code_trials(
     trials: int,
     seed: int,
     *,
-    R: Optional[float] = None,
-    r_n: Optional[float] = None,
-    T: int = 1,
     workers: int = 1,
     stream: int = 0,
     chunk: int = rng.DEFAULT_CHUNK,
 ) -> CodeTrialResult:
     """Simulate the full rateless protocol with actual ML decoding.
 
-    Per trial: draw h, accumulate Gaussian-input mutual information to
-    pick the stopping block, then ML-decode the received prefix. Outage
-    trials never decode and count as errors in the final joint term.
+    The rate is the codebook's own, R = bits / L. Per trial: draw h,
+    accumulate Gaussian-input mutual information to pick the stopping
+    block, then ML-decode the received prefix. Outage trials never decode
+    and count as errors in the final joint term.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rate = _resolve_rate(code, eta, R, r_n, T)
     L = code.L
-    stop_counts, err_counts = _trial_counts(code, eta, rate, trials, seed, stream, workers, chunk)
-    outage_count = int(stop_counts[L])
+    R = code.bits / L
+    profile, stop_hist, err_counts = _code_counts(code, eta, trials, seed, stream, workers, chunk)
 
     fail_counts = err_counts.copy()
-    fail_counts[L - 1] += outage_count
+    fail_counts[L - 1] += stop_hist[L]
     joint = fail_counts / trials
     joint_stderr = np.sqrt(joint * (1.0 - joint) / trials)
     p_e = float(np.sum(joint))
     p_e_stderr = math.sqrt(p_e * (1.0 - p_e) / trials)
 
-    decoded_trials = int(np.sum(stop_counts[:L]))
+    decoded_trials = int(np.sum(stop_hist[:L]))
     cond = float(np.sum(err_counts)) / decoded_trials if decoded_trials else math.nan
 
     errors = ErrorDecomposition(
@@ -450,23 +420,12 @@ def run_rateless_code_trials(
         joint_stderr=joint_stderr,
         p_e=p_e,
         p_e_stderr=p_e_stderr,
-        stop_hist=stop_counts,
+        stop_hist=stop_hist,
         cond_err_nonoutage=cond,
         trials=trials,
     )
-
-    # still short after block l == has not stopped at any block <= l
-    after = trials - np.cumsum(stop_counts[:L])
-    p_hat = np.concatenate(([1.0], after / trials))
-    stderr = np.concatenate(([0.0], np.sqrt(p_hat[1:] * (1.0 - p_hat[1:]) / trials)))
-    profile = OutageProfile(p_hat=p_hat, stderr=stderr, trials=trials)
-
     return CodeTrialResult(
-        errors=errors,
-        outage=profile,
-        rate=effective_rate(rate, L, profile, eta),
-        eta=eta,
-        R=rate,
+        errors=errors, outage=profile, rate=effective_rate(R, L, profile, eta), eta=eta, R=R
     )
 
 
@@ -476,7 +435,6 @@ def universality_margin(
     trials: int,
     seed: int,
     *,
-    R: Optional[float] = None,
     min_count: int = 100,
     workers: int = 1,
     chunk: int = rng.DEFAULT_CHUNK,
@@ -492,15 +450,13 @@ def universality_margin(
     """
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")
-    if R is None:
-        R = code.bits / code.L
     L = code.L
     geometry = _geometry_evidence(code)
     cells: dict[tuple[int, float], Optional[float]] = {}
     for idx, eta in enumerate(eta_grid):
-        stop_counts, err_counts = _trial_counts(code, eta, R, trials, seed, idx, workers, chunk)
+        _, stop_hist, err_counts = _code_counts(code, eta, trials, seed, idx, workers, chunk)
         for l in range(1, L + 1):
-            stopped = int(stop_counts[l - 1])
+            stopped = int(stop_hist[l - 1])
             cells[(l, eta.eta_db)] = err_counts[l - 1] / stopped if stopped >= min_count else None
 
     prefix_decay = []
@@ -607,10 +563,7 @@ def write_trials_csv(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Rows `eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed`."""
-    if metadata:
-        for key in sorted(metadata):
-            out.write(f"# {key}={metadata[key]}\n")
-    out.write("eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed\n")
+    write_csv_header(out, "eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed", metadata)
     for res in results:
         for l in range(1, len(res.errors.joint_err) + 1):
             out.write(

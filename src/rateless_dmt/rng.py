@@ -13,7 +13,7 @@ consumption of ziggurat samplers would break the per-trial alignment.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -101,10 +101,3 @@ def map_chunks(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
-
-def reduce_counts(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum integer count vectors in chunk order."""
-    out = np.zeros_like(parts[0])
-    for p in parts:
-        out += p
-    return out

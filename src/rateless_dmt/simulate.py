@@ -20,8 +20,8 @@ from typing import IO, Mapping, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .configs import AntennaConfig, RatelessConfig
-from .tradeoff import format_sig12
+from .configs import RatelessConfig
+from .tradeoff import format_sig12, write_csv_header
 
 _LN2 = math.log(2.0)
 
@@ -52,38 +52,6 @@ class SnrPoint:
     @property
     def log2_eta(self) -> float:
         return math.log2(self.eta_linear)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One sampled N x M fading matrix with CN(0, 1) entries."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        if self.H.ndim != 2:
-            raise ValueError(f"H must be 2-D, got shape {self.H.shape}")
-        if not np.iscomplexobj(self.H):
-            raise ValueError("H must be complex")
-
-    @property
-    def N(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.H.shape[1]
-
-
-@dataclass(frozen=True)
-class StopOutcome:
-    """First block index at which decoding succeeds, or None for outage."""
-
-    stop_block: Optional[int]
-
-    @property
-    def is_outage(self) -> bool:
-        return self.stop_block is None
 
 
 @dataclass(frozen=True)
@@ -147,48 +115,6 @@ class SnrRecord:
     stop_hist: np.ndarray = field(repr=False)  # counts: stop at 1..L, then outage
 
 
-def sample_channel(cfg: AntennaConfig, rng_stream: np.random.Generator) -> ChannelRealization:
-    """Draw one N x M matrix of i.i.d. CN(0, 1) entries."""
-    shape = (cfg.N, cfg.M)
-    h = (rng_stream.standard_normal(shape) + 1j * rng_stream.standard_normal(shape)) * math.sqrt(0.5)
-    return ChannelRealization(H=h)
-
-
-def block_mutual_info(h: ChannelRealization, eta: SnrPoint, M: Optional[int] = None) -> float:
-    """Per-channel-use mutual information log2 det(I + (eta / M) H H*).
-
-    Gaussian inputs with equal power per transmit antenna. M defaults to
-    the matrix width; passing a mismatching M is an error.
-    """
-    if M is None:
-        M = h.M
-    elif M != h.M:
-        raise ValueError(f"M={M} does not match H shape {h.H.shape}")
-    if not np.all(np.isfinite(h.H)):
-        raise ValueError("channel matrix has non-finite entries")
-    if h.M == 1 and h.N == 1:
-        return math.log1p(eta.eta_linear * abs(h.H[0, 0]) ** 2) / _LN2
-    gram = np.eye(h.N, dtype=complex) + (eta.eta_linear / M) * (h.H @ h.H.conj().T)
-    sign, logdet = np.linalg.slogdet(gram)
-    return float(logdet) / _LN2
-
-
-def rateless_stop(I_b: float, R: float, L: int) -> StopOutcome:
-    """First block l in 1..L with l * I_b >= L * R; outage if none.
-
-    Ties count as decodable. The block length T cancels from both sides
-    and deliberately does not appear.
-    """
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    for l in range(1, L + 1):
-        if l * I_b >= L * R:
-            return StopOutcome(stop_block=l)
-    return StopOutcome(stop_block=None)
-
-
 def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
     """Exact Pr(log2(1 + eta |h|^2) < threshold) for SISO Rayleigh fading.
 
@@ -217,62 +143,84 @@ def siso_outage_neg_log2(eta: SnrPoint, rate_threshold: float) -> float:
     return -math.log1p(-t) / _LN2
 
 
-def siso_outage_profile(eta: SnrPoint, R: float, L: int) -> np.ndarray:
-    """Closed-form p(0..L) for the SISO stopping rule at rate R."""
-    p = np.ones(L + 1)
-    for l in range(1, L + 1):
-        p[l] = siso_outage_closed_form(eta, L * R / l)
-    return p
+def block_info(h: np.ndarray, eta_linear: float, M: int, N: int) -> np.ndarray:
+    """Per-trial log2 det(I_N + (eta / M) H H*), one trial per row of N*M entries.
+
+    Gaussian inputs with equal power per transmit antenna; each row holds
+    the N x M matrix H in row-major order.
+    """
+    if M == 1 and N == 1:
+        return np.log1p(eta_linear * np.abs(h[:, 0]) ** 2) / _LN2
+    h = h.reshape(len(h), N, M)
+    gram = np.eye(N, dtype=complex) + (eta_linear / M) * (h @ h.conj().transpose(0, 2, 1))
+    return np.linalg.slogdet(gram)[1] / _LN2
 
 
-def _outage_counts(
+def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
+    """Per block l = 1..L, which trials are still short of the message: l * I_b < L * R.
+
+    Ties count as decodable. The block length T cancels from both sides
+    and deliberately does not appear. Since I_b >= 0 the masks are nested:
+    a trial short after block l was short after every earlier block.
+    """
+    return [l * ib < L * R for l in range(1, L + 1)]
+
+
+def short_counts(
     cfg: RatelessConfig,
     eta: SnrPoint,
     R: float,
     trials: int,
     seed: int,
-    stream: int,
-    workers: int,
-    chunk: int,
+    *,
+    stream: int = 0,
+    workers: int = 1,
+    chunk: int = rng.DEFAULT_CHUNK,
+    decoder=None,
 ) -> np.ndarray:
-    """Counts of trials still short of the message size after each block.
+    """The Monte Carlo kernel: counts of trials still short after each block l = 1..L.
 
-    Entry l - 1 counts trials with l * I_b < L * R, all evaluated on the
-    same per-trial fading draw.
+    Every trial of substream (seed, stream) draws 2MN uniforms for its
+    fading matrix, and that one draw serves all l. A decoder riding along
+    reserves `decoder.lead` uniforms before them and `decoder.trail` after;
+    it is called per chunk as decoder(u, h, short) with the uniforms, the
+    channel entries and the still-short masks, and its count vector is
+    appended to the result. The counts do not depend on the chunk size
+    or the worker count.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     M, N, L = cfg.M, cfg.N, cfg.L
+    lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
+    n_h = 2 * M * N
     key = rng.stream_key(seed, stream)
-    uniforms = 2 * M * N
     eta_lin = eta.eta_linear
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
-        u = rng.trial_uniforms(key, uniforms, t0, n)
-        hflat = rng.complex_normals(u)
-        if M == 1 and N == 1:
-            ib = np.log1p(eta_lin * np.abs(hflat[:, 0]) ** 2) / _LN2
-        else:
-            h = hflat.reshape(n, N, M)
-            gram = np.eye(N, dtype=complex) + (eta_lin / M) * (h @ h.conj().transpose(0, 2, 1))
-            ib = np.linalg.slogdet(gram)[1] / _LN2
-        counts = np.empty(L, dtype=np.int64)
-        for l in range(1, L + 1):
-            counts[l - 1] = np.count_nonzero(l * ib < L * R)
-        return counts
+        u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
+        h = rng.complex_normals(u[:, lead : lead + n_h])
+        short = still_short(block_info(h, eta_lin, M, N), R, L)
+        counts = np.array([np.count_nonzero(s) for s in short], dtype=np.int64)
+        if decoder is None:
+            return counts
+        return np.concatenate((counts, decoder(u, h, short)))
 
-    parts = rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers)
-    return rng.reduce_counts(parts)
+    # integer sums, so the result is exact in any order
+    return np.sum(rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers), axis=0)
 
 
-def _profile_from_counts(counts: np.ndarray, trials: int) -> OutageProfile:
-    L = len(counts)
-    p_hat = np.empty(L + 1)
-    stderr = np.zeros(L + 1)
-    p_hat[0] = 1.0
-    for l in range(1, L + 1):
-        p = counts[l - 1] / trials
-        p_hat[l] = p
-        stderr[l] = math.sqrt(p * (1.0 - p) / trials)
-    return OutageProfile(p_hat=p_hat, stderr=stderr, trials=trials)
+def profile_and_stops(short: np.ndarray, trials: int) -> tuple[OutageProfile, np.ndarray]:
+    """p(0..L) with binomial standard errors, and the stop histogram, from short counts.
+
+    short[l - 1] counts trials still short after block l. A trial stops at
+    block l when it was short after l - 1 blocks but not after l; the
+    histogram counts stops at 1..L and then outages.
+    """
+    after = np.concatenate(([trials], short))
+    p_hat = after / trials
+    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    stop_hist = np.append(after[:-1] - after[1:], short[-1])
+    return OutageProfile(p_hat=p_hat, stderr=stderr, trials=trials), stop_hist
 
 
 def estimate_outage_profile(
@@ -293,12 +241,28 @@ def estimate_outage_profile(
     reuse the same fading draws, which couples comparisons across SNR or
     rate through common random numbers.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    counts = _outage_counts(cfg, eta, R, trials, seed, stream, workers, chunk)
-    return _profile_from_counts(counts, trials)
+    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
+    return profile_and_stops(counts, trials)[0]
+
+
+def outage_record(
+    cfg: RatelessConfig,
+    eta: SnrPoint,
+    R: float,
+    trials: int,
+    seed: int,
+    *,
+    stream: int = 0,
+    workers: int = 1,
+    chunk: int = rng.DEFAULT_CHUNK,
+) -> SnrRecord:
+    """p(l), the stop histogram and the effective rate at one SNR point and rate R."""
+    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
+    profile, stop_hist = profile_and_stops(counts, trials)
+    rate = effective_rate(R, cfg.L, profile, eta)
+    return SnrRecord(eta=eta, R=R, profile=profile, rate=rate, stop_hist=stop_hist)
 
 
 def effective_rate(
@@ -400,17 +364,12 @@ def run_rateless_experiment(
         raise ValueError("eta_grid must be nonempty")
     if float(r_n) < 0:
         raise ValueError(f"r_n must be >= 0, got {r_n}")
-    records = []
-    for i, eta in enumerate(eta_grid):
-        R = float(r_n) * eta.log2_eta
-        counts = _outage_counts(cfg, eta, R, trials, seed, i, workers, chunk)
-        profile = _profile_from_counts(counts, trials)
-        rate = effective_rate(R, cfg.L, profile, eta)
-        # stop at l <=> still short after l-1 blocks but not after l
-        after = np.concatenate(([trials], counts))
-        stop_hist = np.concatenate((after[:-1] - after[1:], [counts[-1]]))
-        records.append(SnrRecord(eta=eta, R=R, profile=profile, rate=rate, stop_hist=stop_hist))
-    return records
+    return [
+        outage_record(
+            cfg, eta, float(r_n) * eta.log2_eta, trials, seed, stream=i, workers=workers, chunk=chunk
+        )
+        for i, eta in enumerate(eta_grid)
+    ]
 
 
 def write_experiment_csv(
@@ -420,10 +379,7 @@ def write_experiment_csv(
     metadata: Mapping[str, object] | None = None,
 ) -> None:
     """Rows `eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed`, one per (SNR, l)."""
-    if metadata:
-        for key in sorted(metadata):
-            out.write(f"# {key}={metadata[key]}\n")
-    out.write("eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed\n")
+    write_csv_header(out, "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed", metadata)
     for rec in records:
         for l in range(len(rec.profile.p_hat)):
             out.write(

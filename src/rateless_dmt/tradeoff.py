@@ -213,6 +213,14 @@ def format_sig12(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def write_csv_header(out: IO[str], columns: str, metadata: Mapping[str, object] | None) -> None:
+    """Metadata as leading `# key=value` lines, sorted for byte-stable output, then the column row."""
+    if metadata:
+        for key in sorted(metadata):
+            out.write(f"# {key}={metadata[key]}\n")
+    out.write(columns + "\n")
+
+
 def write_curves_csv(
     out: IO[str],
     curves: Iterable[DmtCurve],
@@ -223,15 +231,12 @@ def write_curves_csv(
 
     With ``exact`` three p/q columns are appended so the rational values
     survive the decimal rendering. Metadata keys are embedded as leading
-    `#` comment lines, sorted for byte-stable output.
+    `#` comment lines.
     """
-    if metadata:
-        for key in sorted(metadata):
-            out.write(f"# {key}={metadata[key]}\n")
     header = "r_n,l,r,d,scheme"
     if exact:
         header += ",r_n_exact,r_exact,d_exact"
-    out.write(header + "\n")
+    write_csv_header(out, header, metadata)
     for curve in curves:
         for r_n, l, pt in zip(curve.r_n_grid, curve.segment_index, curve.points):
             row = (

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import permcode, simulate, tradeoff
+from . import permcode, rng, simulate, tradeoff
 from .configs import AntennaConfig, RatelessConfig
 from .simulate import SnrPoint
 
@@ -198,7 +198,7 @@ _CODE_TRIALS = 10**6
 
 
 def check_permutation_code_trials(seed: int, tol_scale: float) -> CheckResult:
-    """Rateless 4-point code at R = 1: stop oracle, error dominance, pairing."""
+    """Rateless 4-point code (R = bits / L = 1): stop oracle, error dominance, pairing."""
     searched, _ = permcode.search_permutation_code(L=2, bits=2)
     ident = permcode.identity_code(2, 2)
     L = searched.L
@@ -206,12 +206,8 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> CheckResult:
     notes = []
     for i, db in enumerate((20.0, 30.0, 40.0)):
         eta = SnrPoint.from_db(db)
-        res_s = permcode.run_rateless_code_trials(
-            searched, eta, _CODE_TRIALS, seed, R=1.0, stream=i
-        )
-        res_i = permcode.run_rateless_code_trials(
-            ident, eta, _CODE_TRIALS, seed, R=1.0, stream=i
-        )
+        res_s = permcode.run_rateless_code_trials(searched, eta, _CODE_TRIALS, seed, stream=i)
+        res_i = permcode.run_rateless_code_trials(ident, eta, _CODE_TRIALS, seed, stream=i)
         # (a) stop probabilities against the closed form
         for l in (1, 2):
             oracle = simulate.siso_outage_closed_form(eta, 2.0 / l)
@@ -316,25 +312,15 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> CheckResult:
     )
 
 
-def _profile_bytes(cfg, eta, R, trials, seed, workers, chunk=None) -> bytes:
-    kwargs = {"workers": workers}
-    if chunk is not None:
-        kwargs["chunk"] = chunk
-    prof = simulate.estimate_outage_profile(cfg, eta, R, trials, seed, **kwargs)
-    rate = simulate.effective_rate(R, cfg.L, prof, eta)
-    rec = simulate.SnrRecord(
-        eta=eta, R=R, profile=prof, rate=rate, stop_hist=np.zeros(cfg.L + 1, dtype=np.int64)
-    )
+def _profile_bytes(cfg, eta, R, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> bytes:
+    rec = simulate.outage_record(cfg, eta, R, trials, seed, workers=workers, chunk=chunk)
     buf = io.StringIO()
     simulate.write_experiment_csv(buf, [rec], seed)
     return buf.getvalue().encode()
 
 
-def _code_bytes(code, eta, trials, seed, workers, chunk=None) -> bytes:
-    kwargs = {"workers": workers}
-    if chunk is not None:
-        kwargs["chunk"] = chunk
-    res = permcode.run_rateless_code_trials(code, eta, trials, seed, R=1.0, **kwargs)
+def _code_bytes(code, eta, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> bytes:
+    res = permcode.run_rateless_code_trials(code, eta, trials, seed, workers=workers, chunk=chunk)
     buf = io.StringIO()
     permcode.write_trials_csv(buf, [res], seed)
     return buf.getvalue().encode()

@@ -4,9 +4,14 @@ Run with `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line
 per criterion; `rateless-dmt verify` prints the same table.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from rateless_dmt import verify
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_report.txt"
 
 CRITERIA = [name for name, _, _ in verify.ALL_CHECKS]
 
@@ -34,3 +39,6 @@ def test_cli_verify_reports_all_criteria(capsys):
     for name in CRITERIA:
         assert any(line.startswith(f"PASS  {name}") for line in out.splitlines()), name
     assert f"{len(CRITERIA)}/{len(CRITERIA)} checks passed" in out
+    # verdict lines at the default seed are fixed; only the [x.xxs] timings vary
+    untimed = re.sub(r"  \[\d+\.\d+s\]", "", out)
+    assert untimed == GOLDEN_REPORT.read_text()

@@ -188,3 +188,41 @@ def test_verify_tightened_tolerances_fail(capsys):
     # exactness checks have no statistical tolerance and still pass
     assert any(line.startswith("PASS  curve-2x2-L2") for line in out.splitlines())
     assert math.isfinite(float(out.splitlines()[-1].split("/")[0]))
+
+
+_SIM = ["simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25", "--trials", "100"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    argv = _SIM + ["--eta-db", "10", "--seed", "1", "--workers", workers, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "`workers`" in capsys.readouterr().err
+    assert not (tmp_path / "simulate_results.csv").exists()
+
+
+@pytest.mark.parametrize("eta_db", ["4000", "inf", "-inf", "nan", "-4000", "10,4000"])
+def test_eta_db_must_give_finite_positive_snr(tmp_path, capsys, eta_db):
+    argv = _SIM + [f"--eta-db={eta_db}", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "`eta_db_list`" in capsys.readouterr().err
+    assert not (tmp_path / "simulate_results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (_SIM + ["--eta-db", "10", "--seed", "-3"], "`seed`"),
+        (["codes", "--L", "2", "--bits", "2", "--eta-db", "10", "--trials", "100", "--seed", "-3"], "`seed`"),
+        (["verify", "--seed", "-1"], "`seed`"),
+        (["verify", "--tol-scale", "-1"], "`tol-scale`"),
+        (["verify", "--tol-scale", "0"], "`tol-scale`"),
+        (["verify", "--tol-scale", "inf"], "`tol-scale`"),
+        (["verify", "--tol-scale", "nan"], "`tol-scale`"),
+    ],
+)
+def test_negative_seed_and_bad_tol_scale_rejected(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "PASS" not in captured.out and not any(tmp_path.iterdir())

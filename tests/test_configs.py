@@ -1,10 +1,8 @@
 """Configuration object validation."""
 
-from fractions import Fraction as F
-
 import pytest
 
-from rateless_dmt import AntennaConfig, RateSpec, RatelessConfig
+from rateless_dmt import AntennaConfig, RatelessConfig
 
 
 def test_antenna_config_bounds():
@@ -23,18 +21,3 @@ def test_rateless_config_bounds():
     with pytest.raises(ValueError):
         RatelessConfig(AntennaConfig(1, 1), L=1, T=0)
 
-
-def test_rate_spec_ties_r_L_to_L_times_r_n():
-    spec = RateSpec.from_multiplexing(F(1, 4), L=2, eta_linear=2.0**20)
-    assert spec.r_L == F(1, 2)
-    assert spec.r_L == 2 * spec.r_n
-    assert spec.R == pytest.approx(5.0)
-
-
-def test_rate_spec_rejects_negative():
-    with pytest.raises(ValueError):
-        RateSpec(R=-1.0, r_n=F(0), r_L=F(0))
-    with pytest.raises(ValueError):
-        RateSpec.from_multiplexing(F(1, 4), L=0, eta_linear=10.0)
-    with pytest.raises(ValueError):
-        RateSpec.from_multiplexing(F(1, 4), L=2, eta_linear=0.0)

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from reference import rateless_stop
+
 from rateless_dmt import (
     SnrPoint,
+    rng,
     build_qam,
     encode,
     identity_code,
@@ -199,8 +202,20 @@ def test_decode_zero_channel_ties_to_message_zero():
         assert ml_decode_prefix(code, rx) == 0
 
 
+def _brute_force_decode(code, y, h, eta):
+    """Plain-Python ML oracle: scalar loop, blocks summed in reverse order."""
+    scale = math.sqrt(eta.eta_linear) * h
+    best, best_d = 0, math.inf
+    for cand in range(code.n_messages):
+        d = 0.0
+        for k in reversed(range(len(y))):
+            d += abs(y[k] - scale * code.symbol_table[k, cand]) ** 2
+        if d < best_d:
+            best, best_d = cand, d
+    return best
+
+
 def test_decode_agrees_with_plain_python_oracle():
-    # same computation, different structure: scalar loop, reversed block order
     code, _ = search_permutation_code(2, 3)
     gen = np.random.Generator(np.random.PCG64(123))
     for _ in range(1000):
@@ -210,21 +225,14 @@ def test_decode_agrees_with_plain_python_oracle():
         m = int(gen.integers(8))
         y = math.sqrt(eta.eta_linear) * h * encode(code, m)[:l]
         y = y + (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
-        scale = math.sqrt(eta.eta_linear) * h
-        best, best_d = 0, math.inf
-        for cand in range(8):
-            d = 0.0
-            for k in reversed(range(l)):
-                d += abs(y[k] - scale * code.symbol_table[k, cand]) ** 2
-            if d < best_d:
-                best, best_d = cand, d
+        best = _brute_force_decode(code, y, h, eta)
         assert ml_decode_prefix(code, ReceivedPrefix(y=y, h=h, eta=eta, l=l)) == best
 
 
 def test_trials_stop_probabilities_match_closed_form():
     code, _ = search_permutation_code(2, 2)
     eta = SnrPoint.from_db(20.0)
-    res = run_rateless_code_trials(code, eta, 200_000, seed=31, R=1.0)
+    res = run_rateless_code_trials(code, eta, 200_000, seed=31)
     for l in (1, 2):
         oracle = siso_outage_closed_form(eta, 2.0 / l)
         assert abs(res.outage.p_hat[l] - oracle) <= 3.0 * res.outage.stderr[l]
@@ -234,25 +242,46 @@ def test_trials_stop_probabilities_match_closed_form():
 
 def test_trials_high_snr_concentrates_on_first_block():
     code, _ = search_permutation_code(2, 2)
-    res = run_rateless_code_trials(code, SnrPoint.from_db(60.0), 50_000, seed=8, R=1.0)
+    res = run_rateless_code_trials(code, SnrPoint.from_db(60.0), 50_000, seed=8)
     assert res.errors.stop_hist[0] > 0.999 * 50_000
     assert res.errors.p_e < 1e-3
     assert res.rate.r_bar == pytest.approx(2.0, rel=1e-3)
 
 
-def test_trials_rate_must_match_codebook():
-    code, _ = search_permutation_code(2, 2)
-    eta = SnrPoint.from_db(20.0)
-    with pytest.raises(ValueError):
-        run_rateless_code_trials(code, eta, 100, seed=0, R=0.7)
-    with pytest.raises(ValueError):
-        run_rateless_code_trials(code, eta, 100, seed=0)  # neither R nor r_n
-    with pytest.raises(ValueError):
-        run_rateless_code_trials(code, eta, 100, seed=0, R=1.0, r_n=0.1)
-    # r_n form works exactly where r_n * log2(eta) * L reproduces the bit count
-    eta1000 = SnrPoint.from_linear(2.0**10)
-    res = run_rateless_code_trials(code, eta1000, 1000, seed=0, r_n=0.1)
-    assert res.R == pytest.approx(1.0)
+def test_trials_rate_comes_from_codebook():
+    for L, bits in ((2, 2), (2, 3), (3, 2)):
+        code = identity_code(L, bits)
+        res = run_rateless_code_trials(code, SnrPoint.from_db(20.0), 1000, seed=0)
+        assert res.R == bits / L
+
+
+def test_trials_stop_and_errors_match_scalar_reference():
+    # code-trial layout per trial: message uniform, two for h, 2L for the noises
+    code, _ = search_permutation_code(2, 3)
+    L, n = code.L, code.n_messages
+    eta = SnrPoint.from_db(12.0)
+    R = code.bits / L
+    trials, seed, stream = 3000, 13, 4
+    res = run_rateless_code_trials(code, eta, trials, seed, stream=stream, chunk=500, workers=2)
+
+    u = rng.trial_uniforms(rng.stream_key(seed, stream), 3 + 2 * L, 0, trials)
+    stop_hist = np.zeros(L + 1, dtype=np.int64)
+    fails = np.zeros(L, dtype=np.int64)
+    for row in u:
+        m = min(int(row[0] * n), n - 1)
+        h = complex(rng.complex_normals(row[1:3])[0])
+        noise = rng.complex_normals(row[3:])
+        stop = rateless_stop(math.log2(1.0 + eta.eta_linear * abs(h) ** 2), R, L)
+        if stop is None:
+            stop_hist[L] += 1
+            fails[L - 1] += 1
+            continue
+        stop_hist[stop - 1] += 1
+        y = math.sqrt(eta.eta_linear) * h * encode(code, m)[:stop] + noise[:stop]
+        fails[stop - 1] += _brute_force_decode(code, y, h, eta) != m
+    assert res.errors.stop_hist.tolist() == stop_hist.tolist()
+    assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
+    assert np.array_equal(res.errors.joint_err, fails / trials)
 
 
 def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
@@ -260,8 +289,8 @@ def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
     ident = identity_code(2, 3)
     for i, db in enumerate((15.0, 20.0)):
         eta = SnrPoint.from_db(db)
-        res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41, R=1.5, stream=i)
-        res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41, R=1.5, stream=i)
+        res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41, stream=i)
+        res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41, stream=i)
         # common random numbers: identical fading, noise, and messages
         assert np.array_equal(res_s.outage.p_hat, res_i.outage.p_hat)
         slack = 3.0 * math.hypot(res_s.errors.p_e_stderr, res_i.errors.p_e_stderr)
@@ -273,7 +302,7 @@ def test_conditional_error_decreases_with_snr():
     code, _ = search_permutation_code(2, 2)
     vals = []
     for i, db in enumerate((10.0, 20.0, 30.0, 40.0)):
-        res = run_rateless_code_trials(code, SnrPoint.from_db(db), 200_000, seed=17, R=1.0, stream=i)
+        res = run_rateless_code_trials(code, SnrPoint.from_db(db), 200_000, seed=17, stream=i)
         vals.append(res.errors.cond_err_nonoutage)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -281,7 +310,7 @@ def test_conditional_error_decreases_with_snr():
 def test_decoding_error_rate_sits_below_final_outage():
     code, _ = search_permutation_code(2, 2)
     eta = SnrPoint.from_db(30.0)
-    res = run_rateless_code_trials(code, eta, 200_000, seed=23, R=1.0)
+    res = run_rateless_code_trials(code, eta, 200_000, seed=23)
     assert res.errors.cond_err_nonoutage < siso_outage_closed_form(eta, 1.0)
 
 

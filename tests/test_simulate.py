@@ -1,4 +1,4 @@
-"""Channel Monte Carlo: oracles, stopping rule, rates, slopes."""
+"""Channel Monte Carlo: the kernel against scalar oracles, stopping rule, rates, slopes."""
 
 import inspect
 import io
@@ -9,24 +9,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import block_mutual_info, rateless_stop, siso_outage_profile
+
 from rateless_dmt import (
     AntennaConfig,
-    ChannelRealization,
     RatelessConfig,
     SnrPoint,
-    block_mutual_info,
     diversity_slope,
     diversity_slope_from_neg_log2,
     effective_rate,
     estimate_outage_profile,
-    rateless_stop,
+    rng,
+    run_rateless_code_trials,
     run_rateless_experiment,
-    sample_channel,
     siso_outage_closed_form,
     siso_outage_neg_log2,
-    siso_outage_profile,
 )
-from rateless_dmt.simulate import OutageProfile, write_experiment_csv
+from rateless_dmt.simulate import (
+    OutageProfile,
+    block_info,
+    profile_and_stops,
+    short_counts,
+    still_short,
+    write_experiment_csv,
+)
 
 SISO_L2 = RatelessConfig(AntennaConfig(1, 1), L=2)
 
@@ -42,40 +48,15 @@ def test_snr_point_conversions_and_validation():
         SnrPoint(eta_linear=-1.0, eta_db=0.0)
 
 
-def test_sample_channel_deterministic_and_shaped():
-    g1 = np.random.Generator(np.random.PCG64(42))
-    g2 = np.random.Generator(np.random.PCG64(42))
-    a = sample_channel(AntennaConfig(1, 1), g1)
-    b = sample_channel(AntennaConfig(1, 1), g2)
-    assert np.array_equal(a.H, b.H)
-    h = sample_channel(AntennaConfig(3, 2), g1)
-    assert h.H.shape == (2, 3)
-
-
-def test_sample_channel_entry_power():
-    # |H_ij|^2 has unit mean under the CN(0, 1) law.
-    gen = np.random.Generator(np.random.PCG64(7))
-    cfg = AntennaConfig(2, 2)
-    acc = np.zeros((2, 2))
-    n = 100_000
-    for _ in range(n):
-        acc += np.abs(sample_channel(cfg, gen).H) ** 2
-    mean = acc / n
-    assert np.all(mean > 0.99) and np.all(mean < 1.01)
-
-
 def test_block_mutual_info_scalar_cases():
     eta3 = SnrPoint.from_linear(3.0)
-    one = ChannelRealization(H=np.array([[1.0 + 0j]]))
-    assert block_mutual_info(one, eta3) == pytest.approx(2.0)
-    zero = ChannelRealization(H=np.array([[0.0 + 0j]]))
-    assert block_mutual_info(zero, SnrPoint.from_db(50.0)) == 0.0
+    assert block_mutual_info(np.array([[1.0 + 0j]]), eta3) == pytest.approx(2.0)
+    assert block_mutual_info(np.array([[0.0 + 0j]]), SnrPoint.from_db(50.0)) == 0.0
 
 
 def test_block_mutual_info_identity_2x2_against_det_oracle():
     eta2 = SnrPoint.from_linear(2.0)
-    eye = ChannelRealization(H=np.eye(2, dtype=complex))
-    assert block_mutual_info(eye, eta2, M=2) == pytest.approx(2.0)
+    assert block_mutual_info(np.eye(2, dtype=complex), eta2, M=2) == pytest.approx(2.0)
     # independent oracle: explicit 2x2 determinant of I + (eta/2) H H*
     gen = np.random.Generator(np.random.PCG64(5))
     for _ in range(50):
@@ -83,25 +64,27 @@ def test_block_mutual_info_identity_2x2_against_det_oracle():
         a = np.eye(2, dtype=complex) + (eta2.eta_linear / 2) * (h @ h.conj().T)
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
         expected = math.log2(abs(det))
-        got = block_mutual_info(ChannelRealization(H=h), eta2, M=2)
+        got = block_mutual_info(h, eta2, M=2)
         assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_block_mutual_info_validates_inputs():
-    h = ChannelRealization(H=np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        block_mutual_info(h, SnrPoint.from_db(0.0), M=3)
-    bad = ChannelRealization(H=np.array([[np.nan + 0j]]))
+        block_mutual_info(np.eye(2, dtype=complex), SnrPoint.from_db(0.0), M=3)
     with pytest.raises(ValueError):
-        block_mutual_info(bad, SnrPoint.from_db(0.0))
+        block_mutual_info(np.array([[np.nan + 0j]]), SnrPoint.from_db(0.0))
 
 
 def test_stop_rule_examples():
-    assert rateless_stop(2.0, 1.0, 2).stop_block == 1
-    assert rateless_stop(1.2, 1.0, 2).stop_block == 2
-    out = rateless_stop(0.9, 1.0, 2)
-    assert out.is_outage and out.stop_block is None
-    assert rateless_stop(0.0, 0.0, 3).stop_block == 1  # tie at zero rate decodes
+    assert rateless_stop(2.0, 1.0, 2) == 1
+    assert rateless_stop(1.2, 1.0, 2) == 2
+    assert rateless_stop(0.9, 1.0, 2) is None  # outage
+    assert rateless_stop(0.0, 0.0, 3) == 1  # tie at zero rate decodes
+    # the kernel's rule agrees: still short after l blocks <=> stop block > l
+    for ib, R, L in ((2.0, 1.0, 2), (1.2, 1.0, 2), (0.9, 1.0, 2), (0.0, 0.0, 3)):
+        short = still_short(np.array([ib]), R, L)
+        stop = rateless_stop(ib, R, L)
+        assert [bool(s[0]) for s in short] == [stop is None or stop > l for l in range(1, L + 1)]
 
 
 @given(
@@ -119,7 +102,53 @@ def test_stop_rule_scale_invariance(ib_num, r_num, L, exp):
 
 
 def test_stop_rule_has_no_block_length_parameter():
-    assert "T" not in inspect.signature(rateless_stop).parameters
+    for fn in (rateless_stop, still_short, short_counts, run_rateless_code_trials):
+        assert "T" not in inspect.signature(fn).parameters, fn.__name__
+
+
+# (M, N, L): SISO, square, both rank-one orientations, and a longer codeword
+KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4)]
+
+
+class _CodeLayout:
+    """Decoder stub reserving the code-trial uniforms: one before the fading draw, 2L after."""
+
+    lead = 1
+
+    def __init__(self, L):
+        self.trail = 2 * L
+
+    def __call__(self, u, h, short):
+        return np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("layout", ["outage", "code"])
+@pytest.mark.parametrize("M, N, L", KERNEL_SHAPES)
+def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
+    # same Philox uniforms into the batched kernel and the scalar oracles
+    cfg = RatelessConfig(AntennaConfig(M, N), L=L)
+    eta = SnrPoint.from_db(10.0)
+    trials, seed, stream = 400, 21, 3
+    decoder = _CodeLayout(L) if layout == "code" else None
+    lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
+    u = rng.trial_uniforms(rng.stream_key(seed, stream), lead + 2 * M * N + trail, 0, trials)
+    h = rng.complex_normals(u[:, lead : lead + 2 * M * N])
+    ref_ib = np.array([block_mutual_info(row.reshape(N, M), eta) for row in h])
+    # a rate that puts the message size in the middle of the I_b spread
+    R = 0.75 * float(np.median(ref_ib))
+
+    ib = block_info(h, eta.eta_linear, M, N)
+    np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
+    stop = 1 + np.sum(still_short(ib, R, L), axis=0)  # L + 1 means outage
+    ref_stop = [rateless_stop(x, R, L) or L + 1 for x in ref_ib]
+    assert stop.tolist() == ref_stop
+    ref_hist = np.bincount(ref_stop, minlength=L + 2)[1:]
+    assert np.count_nonzero(ref_hist) >= 2  # the comparison sees more than one outcome
+
+    # the full kernel, chunked and threaded, lands on the same histogram
+    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder)
+    _, stop_hist = profile_and_stops(counts, trials)
+    assert stop_hist.tolist() == ref_hist.tolist()
 
 
 def test_siso_closed_form_values_and_quadrature_oracle():
