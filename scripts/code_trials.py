@@ -36,9 +36,9 @@ def main(argv=None) -> None:
     etas = [SnrPoint.from_db(float(d)) for d in args.eta_db.split(",")]
     R = args.bits / args.L  # the codebook's own rate, recorded in the CSV metadata
 
-    searched, evidence = search_permutation_code(args.L, args.bits, seed=args.seed)
+    searched, per_prefix = search_permutation_code(args.L, args.bits, seed=args.seed)
     baseline = identity_code(args.L, args.bits)
-    print("searched per-prefix min product distances:", [f"{d:.4f}" for d in evidence.per_prefix])
+    print("searched per-prefix min product distances:", [f"{d:.4f}" for d in per_prefix])
 
     for tag, code in (("searched", searched), ("identity", baseline)):
         save_codebook(code, str(out / f"codebook_{tag}.txt"))

@@ -11,13 +11,10 @@ from .permcode import (
     Constellation,
     ErrorDecomposition,
     PermutationCode,
-    ReceivedPrefix,
     UniversalityEvidence,
     build_qam,
-    encode,
     identity_code,
     load_codebook,
-    ml_decode_prefix,
     prefix_min_products,
     run_rateless_code_trials,
     save_codebook,
@@ -30,9 +27,8 @@ from .simulate import (
     SlopeEstimate,
     SnrPoint,
     diversity_slope,
-    diversity_slope_from_neg_log2,
     effective_rate,
-    estimate_outage_profile,
+    outage_record,
     run_rateless_experiment,
     siso_outage_closed_form,
     siso_outage_neg_log2,
@@ -40,7 +36,6 @@ from .simulate import (
 from .tradeoff import (
     DmtCurve,
     GainPoint,
-    conventional_dmt,
     default_r_n_grid,
     parallel_dmt_curve,
     parallel_identical_dmt,

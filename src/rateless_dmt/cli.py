@@ -65,8 +65,6 @@ def _gather(args: argparse.Namespace) -> dict[str, str]:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = str(flag)
-    if getattr(args, "eta_db", None) is not None:
-        cfg["eta_db_list"] = args.eta_db
     return cfg
 
 
@@ -219,10 +217,10 @@ def cmd_codes(args: argparse.Namespace) -> int:
         if args.identity:
             code = permcode.identity_code(L, bits)
         else:
-            code, evidence = permcode.search_permutation_code(L, bits, budget=budget, seed=seed)
+            code, per_prefix = permcode.search_permutation_code(L, bits, budget=budget, seed=seed)
             print(
                 "search: per-prefix min product distances "
-                + ", ".join(f"l={l + 1}: {d:.6g}" for l, d in enumerate(evidence.per_prefix))
+                + ", ".join(f"l={l + 1}: {d:.6g}" for l, d in enumerate(per_prefix))
             )
 
     etas = [SnrPoint.from_db(db) for db in eta_db]
@@ -275,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument("--seed", type=int, default=None, help="RNG seed")
     common.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
-    common.add_argument("--eta-db", default=None, help="comma-separated SNR list in dB")
+    common.add_argument(
+        "--eta-db", dest="eta_db_list", default=None, help="comma-separated SNR list in dB"
+    )
     common.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
 
     dims = argparse.ArgumentParser(add_help=False)
@@ -332,13 +332,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError(f"value for `workers` out of range (>= 1): {args.workers}")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Mapping, Optional, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import rng, simulate
 from .configs import AntennaConfig, RatelessConfig
-from .simulate import EffectiveRate, OutageProfile, SnrPoint, effective_rate
+from .simulate import EffectiveRate, OutageProfile, SnrPoint, binomial_stderr, effective_rate
 from .tradeoff import format_sig12, write_csv_header
 
 MAX_BITS = 8
@@ -140,29 +139,17 @@ class UniversalityEvidence:
     """Geometry and decay evidence for prefix decodability.
 
     per_prefix holds the minimum product distance of each prefix;
-    min_product_distance / worst_subset point at the weakest prefix.
-    decay_estimate is the fitted exponent of ln(-ln p) against ln(eta)
-    for the conditional non-outage error (NaN until measured), reported
-    as evidence only, never asserted against a target.
+    worst_subset points at the weakest prefix. decay_estimate is the
+    fitted exponent of ln(-ln p) against ln(eta) for the conditional
+    non-outage error (NaN when no prefix has two estimable cells),
+    reported as evidence only, never asserted against a target.
     """
 
-    min_product_distance: float
     worst_subset: int
     decay_estimate: float
     per_prefix: tuple[float, ...]
-    prefix_decay: tuple[float, ...] = ()
-    cells: Optional[Mapping[tuple[int, float], Optional[float]]] = None
-
-
-def _geometry_evidence(code: PermutationCode) -> UniversalityEvidence:
-    per_prefix = prefix_min_products(code)
-    worst = int(np.argmin(per_prefix)) + 1
-    return UniversalityEvidence(
-        min_product_distance=per_prefix[worst - 1],
-        worst_subset=worst,
-        decay_estimate=math.nan,
-        per_prefix=per_prefix,
-    )
+    prefix_decay: tuple[float, ...]
+    cells: Mapping[tuple[int, float], Optional[float]]
 
 
 def _objective(points: np.ndarray, perms: Sequence[Sequence[int]], i, j) -> tuple[float, ...]:
@@ -181,7 +168,7 @@ def search_permutation_code(
     bits: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
     seed: int = 0,
-) -> tuple[PermutationCode, UniversalityEvidence]:
+) -> tuple[PermutationCode, tuple[float, ...]]:
     """Find permutations maximizing prefix product distances.
 
     The score of a candidate is the tuple of per-prefix minimum product
@@ -190,7 +177,7 @@ def search_permutation_code(
     tuples fit the evaluation budget; otherwise seeded random restarts
     with pairwise-swap hill climbing. Ties go to the lexicographically
     smallest permutation tuple, so the result does not depend on
-    evaluation order.
+    evaluation order. Returns the code and its :func:`prefix_min_products`.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -199,7 +186,7 @@ def search_permutation_code(
     identity = tuple(range(n))
     if L == 1:
         code = PermutationCode(constellation=const, perms=(identity,))
-        return code, _geometry_evidence(code)
+        return code, prefix_min_products(code)
 
     i, j = np.triu_indices(n, k=1)
     points = const.points
@@ -219,6 +206,7 @@ def search_permutation_code(
             consider(perms, _objective(points, perms, i, j))
     else:
         per_restart = max(1, budget // _HILL_CLIMB_RESTARTS)
+        swaps = list(itertools.product(range(1, L), itertools.combinations(range(n), 2)))
         for restart in range(_HILL_CLIMB_RESTARTS):
             gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, restart))))
             tail = [tuple(gen.permutation(n)) for _ in range(L - 1)]
@@ -229,50 +217,21 @@ def search_permutation_code(
             improved = True
             while improved and evals < per_restart:
                 improved = False
-                for k in range(1, L):
-                    for a in range(n - 1):
-                        for b in range(a + 1, n):
-                            cand = list(perms[k])
-                            cand[a], cand[b] = cand[b], cand[a]
-                            cand_perms = perms[:k] + (tuple(cand),) + perms[k + 1 :]
-                            cand_obj = _objective(points, cand_perms, i, j)
-                            evals += 1
-                            if cand_obj > obj:
-                                perms, obj = cand_perms, cand_obj
-                                improved = True
-                            if evals >= per_restart:
-                                break
-                        if evals >= per_restart:
-                            break
+                for k, (a, b) in swaps:
+                    cand = list(perms[k])
+                    cand[a], cand[b] = cand[b], cand[a]
+                    cand_perms = perms[:k] + (tuple(cand),) + perms[k + 1 :]
+                    cand_obj = _objective(points, cand_perms, i, j)
+                    evals += 1
+                    if cand_obj > obj:
+                        perms, obj = cand_perms, cand_obj
+                        improved = True
                     if evals >= per_restart:
                         break
             consider(perms, obj)
 
     code = PermutationCode(constellation=const, perms=best_perms)
-    return code, _geometry_evidence(code)
-
-
-def encode(code: PermutationCode, message: int) -> np.ndarray:
-    """Symbols sent in blocks 1..L for one message."""
-    if not 0 <= message < code.n_messages:
-        raise ValueError(f"message must be in 0..{code.n_messages - 1}, got {message}")
-    return code.symbol_table[:, message].copy()
-
-
-@dataclass(frozen=True)
-class ReceivedPrefix:
-    """Observations of the first l blocks through a scalar channel h."""
-
-    y: np.ndarray
-    h: complex
-    eta: SnrPoint
-    l: int
-
-    def __post_init__(self):
-        if self.y.ndim != 1 or len(self.y) != self.l:
-            raise ValueError(f"y must be 1-D of length l={self.l}, got shape {self.y.shape}")
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
+    return code, prefix_min_products(code)
 
 
 def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) -> np.ndarray:
@@ -288,16 +247,6 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
     for k, row in enumerate(table):
         d2 += np.abs(y[:, k][:, None] - scale * row[None, :]) ** 2
     return np.argmin(d2, axis=1)
-
-
-def ml_decode_prefix(code: PermutationCode, rx: ReceivedPrefix) -> int:
-    """Maximum-likelihood message over one received prefix, through :func:`ml_decode`."""
-    if rx.l > code.L:
-        raise ValueError(f"prefix length {rx.l} exceeds code length {code.L}")
-    if rx.h == 0:
-        warnings.warn("zero channel gain: all hypotheses equidistant, tie-break applies", stacklevel=2)
-    h = np.array([rx.h], dtype=complex)
-    return int(ml_decode(code.symbol_table[: rx.l], rx.y[None, :], h, math.sqrt(rx.eta.eta_linear))[0])
 
 
 @dataclass(frozen=True)
@@ -408,24 +357,22 @@ def run_rateless_code_trials(
     fail_counts = err_counts.copy()
     fail_counts[L - 1] += stop_hist[L]
     joint = fail_counts / trials
-    joint_stderr = np.sqrt(joint * (1.0 - joint) / trials)
     p_e = float(np.sum(joint))
-    p_e_stderr = math.sqrt(p_e * (1.0 - p_e) / trials)
 
     decoded_trials = int(np.sum(stop_hist[:L]))
     cond = float(np.sum(err_counts)) / decoded_trials if decoded_trials else math.nan
 
     errors = ErrorDecomposition(
         joint_err=joint,
-        joint_stderr=joint_stderr,
+        joint_stderr=binomial_stderr(joint, trials),
         p_e=p_e,
-        p_e_stderr=p_e_stderr,
+        p_e_stderr=float(binomial_stderr(p_e, trials)),
         stop_hist=stop_hist,
         cond_err_nonoutage=cond,
         trials=trials,
     )
     return CodeTrialResult(
-        errors=errors, outage=profile, rate=effective_rate(R, L, profile, eta), eta=eta, R=R
+        errors=errors, outage=profile, rate=effective_rate(R, L, profile.p_hat, eta), eta=eta, R=R
     )
 
 
@@ -451,7 +398,7 @@ def universality_margin(
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")
     L = code.L
-    geometry = _geometry_evidence(code)
+    per_prefix = prefix_min_products(code)
     cells: dict[tuple[int, float], Optional[float]] = {}
     for idx, eta in enumerate(eta_grid):
         _, stop_hist, err_counts = _code_counts(code, eta, trials, seed, idx, workers, chunk)
@@ -475,10 +422,9 @@ def universality_margin(
             prefix_decay.append(math.nan)
     finite = [d for d in prefix_decay if not math.isnan(d)]
     return UniversalityEvidence(
-        min_product_distance=geometry.min_product_distance,
-        worst_subset=geometry.worst_subset,
+        worst_subset=int(np.argmin(per_prefix)) + 1,
         decay_estimate=min(finite) if finite else math.nan,
-        per_prefix=geometry.per_prefix,
+        per_prefix=per_prefix,
         prefix_decay=tuple(prefix_decay),
         cells=cells,
     )

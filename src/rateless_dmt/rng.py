@@ -52,8 +52,8 @@ def trial_uniforms(
     return raw.reshape(n_trials, b * UNIFORMS_PER_BLOCK)[:, :uniforms_per_trial]
 
 
-def standard_normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller: an even trailing axis of uniforms to standard normals."""
+def complex_normals(u: np.ndarray) -> np.ndarray:
+    """Box-Muller: map 2k uniforms per row to k circularly-symmetric CN(0, 1) samples."""
     if u.shape[-1] % 2:
         raise ValueError("need an even number of uniforms per row")
     u1 = u[..., 0::2]
@@ -61,16 +61,7 @@ def standard_normals(u: np.ndarray) -> np.ndarray:
     # 1 - u1 lies in (0, 1], so the log never sees zero.
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = (2.0 * np.pi) * u2
-    out = np.empty_like(u)
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
-    return out
-
-
-def complex_normals(u: np.ndarray) -> np.ndarray:
-    """Map 2k uniforms per row to k circularly-symmetric CN(0, 1) samples."""
-    z = standard_normals(u)
-    return (z[..., 0::2] + 1j * z[..., 1::2]) * _SQRT_HALF
+    return (radius * np.cos(angle) + 1j * (radius * np.sin(angle))) * _SQRT_HALF
 
 
 def chunk_ranges(total: int, chunk: int = DEFAULT_CHUNK) -> Iterator[tuple[int, int]]:

@@ -13,7 +13,6 @@ thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Optional, Sequence
 
@@ -101,7 +100,6 @@ class SlopeEstimate:
     slope: float
     secant: float
     residual_rms: float
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -209,6 +207,11 @@ def short_counts(
     return np.sum(rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers), axis=0)
 
 
+def binomial_stderr(p, n: int):
+    """Standard error sqrt(p (1 - p) / n) of a binomial proportion p over n trials."""
+    return np.sqrt(p * (1.0 - p) / n)
+
+
 def profile_and_stops(short: np.ndarray, trials: int) -> tuple[OutageProfile, np.ndarray]:
     """p(0..L) with binomial standard errors, and the stop histogram, from short counts.
 
@@ -218,33 +221,9 @@ def profile_and_stops(short: np.ndarray, trials: int) -> tuple[OutageProfile, np
     """
     after = np.concatenate(([trials], short))
     p_hat = after / trials
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    stderr = binomial_stderr(p_hat, trials)
     stop_hist = np.append(after[:-1] - after[1:], short[-1])
     return OutageProfile(p_hat=p_hat, stderr=stderr, trials=trials), stop_hist
-
-
-def estimate_outage_profile(
-    cfg: RatelessConfig,
-    eta: SnrPoint,
-    R: float,
-    trials: int,
-    seed: int,
-    *,
-    stream: int = 0,
-    workers: int = 1,
-    chunk: int = rng.DEFAULT_CHUNK,
-) -> OutageProfile:
-    """Monte Carlo estimate of p(l) for l = 0..L at fixed rate R.
-
-    One fading draw per trial is shared across all l, so the estimates
-    are exactly nonincreasing in l. Calls with the same seed and stream
-    reuse the same fading draws, which couples comparisons across SNR or
-    rate through common random numbers.
-    """
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
-    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
-    return profile_and_stops(counts, trials)[0]
 
 
 def outage_record(
@@ -258,80 +237,45 @@ def outage_record(
     workers: int = 1,
     chunk: int = rng.DEFAULT_CHUNK,
 ) -> SnrRecord:
-    """p(l), the stop histogram and the effective rate at one SNR point and rate R."""
+    """Monte Carlo p(l) for l = 0..L, stop histogram and effective rate at one SNR and rate R.
+
+    One fading draw per trial is shared across all l, so the estimates
+    are exactly nonincreasing in l. Calls with the same seed and stream
+    reuse the same fading draws, which couples comparisons across SNR or
+    rate through common random numbers.
+    """
+    if R < 0:
+        raise ValueError(f"R must be >= 0, got {R}")
     counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
     profile, stop_hist = profile_and_stops(counts, trials)
-    rate = effective_rate(R, cfg.L, profile, eta)
+    rate = effective_rate(R, cfg.L, profile.p_hat, eta)
     return SnrRecord(eta=eta, R=R, profile=profile, rate=rate, stop_hist=stop_hist)
 
 
 def effective_rate(
-    R: float,
-    L: int,
-    profile: OutageProfile | Sequence[float],
-    eta: Optional[SnrPoint] = None,
+    R: float, L: int, p: Sequence[float], eta: Optional[SnrPoint] = None
 ) -> EffectiveRate:
-    """Average per-message rate R * L / sum_{l=0}^{L-1} p(l).
+    """Average per-message rate R * L / sum_{l=0}^{L-1} p(l) from p(0..L).
 
-    Accepts an estimated profile or a plain p(0..L) sequence (e.g. the
-    closed-form oracle). r_hat = r_bar / log2(eta) is attached when eta
-    is given.
+    r_hat = r_bar / log2(eta) is attached when eta is given; it is NaN
+    at 0 dB, where log2(eta) = 0.
     """
-    p = profile.p_hat if isinstance(profile, OutageProfile) else np.asarray(profile, dtype=float)
     if len(p) < L:
-        raise ValueError(f"profile has {len(p)} entries, need at least L={L}")
+        raise ValueError(f"p has {len(p)} entries, need at least L={L}")
     denom = float(np.sum(p[:L]))
     r_bar = R * L / denom
-    r_hat = r_bar / eta.log2_eta if eta is not None else None
+    r_hat = None
+    if eta is not None:
+        r_hat = r_bar / eta.log2_eta if eta.log2_eta else math.nan
     return EffectiveRate(r_bar=r_bar, r_hat=r_hat)
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> SlopeEstimate:
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    secant = (y[-1] - y[-2]) / (x[-1] - x[-2])
-    return SlopeEstimate(
-        slope=float(slope),
-        secant=float(secant),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_used=len(x),
-    )
+def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> SlopeEstimate:
+    """OLS slope of -log2(p) against log2(eta).
 
-
-def diversity_slope(points: Sequence[tuple[SnrPoint, float]]) -> SlopeEstimate:
-    """OLS slope of -log2(p) against log2(eta) over (SNR, probability) pairs.
-
-    Points with p outside (0, 1) carry no slope information and are
-    dropped with a warning; at least two usable points with distinct SNR
-    are required.
-    """
-    usable = []
-    for eta, p in points:
-        if not 0.0 < p < 1.0:
-            warnings.warn(
-                f"probability {p} at eta_db={eta.eta_db} is not in (0, 1); point skipped",
-                stacklevel=2,
-            )
-            continue
-        usable.append((eta.log2_eta, -math.log2(p)))
-    if len(usable) < 2:
-        raise ValueError("need at least two points with probabilities in (0, 1)")
-    x = np.array([u[0] for u in usable])
-    y = np.array([u[1] for u in usable])
-    if len(np.unique(x)) != len(x):
-        raise ValueError("SNR points must be distinct")
-    return _fit_slope(x, y)
-
-
-def diversity_slope_from_neg_log2(
-    etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]
-) -> SlopeEstimate:
-    """Slope fit on precomputed -log2(p) values.
-
-    Used where p itself is not representable (it rounds to 1) but its
-    exponent is, e.g. from :func:`siso_outage_neg_log2`.
+    Takes the exponents rather than the probabilities, so points where p
+    itself rounds to 1 (e.g. from :func:`siso_outage_neg_log2`) still
+    fit. At least two finite points with distinct SNR are required.
     """
     if len(etas) != len(neg_log2_p):
         raise ValueError("etas and neg_log2_p must have equal length")
@@ -341,7 +285,16 @@ def diversity_slope_from_neg_log2(
     y = np.asarray(neg_log2_p, dtype=float)
     if np.any(~np.isfinite(y)):
         raise ValueError("neg_log2_p values must be finite")
-    return _fit_slope(x, y)
+    if len(np.unique(x)) != len(x):
+        raise ValueError("SNR points must be distinct")
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    secant = (y[-1] - y[-2]) / (x[-1] - x[-2])
+    return SlopeEstimate(
+        slope=float(slope), secant=float(secant), residual_rms=float(np.sqrt(np.mean(resid**2)))
+    )
 
 
 def run_rateless_experiment(

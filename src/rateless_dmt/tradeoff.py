@@ -79,14 +79,6 @@ def tradeoff_f(cfg: AntennaConfig, k) -> Fraction:
     return corner + (k - i) * slope
 
 
-def conventional_dmt(cfg: AntennaConfig, r) -> Fraction:
-    """Diversity gain of a fixed-rate scheme at multiplexing gain r."""
-    r = Fraction(r)
-    if not 0 <= r <= cfg.min_antennas:
-        raise ValueError(f"r must lie in [0, {cfg.min_antennas}], got {r}")
-    return tradeoff_f(cfg, r)
-
-
 def rateless_segment(cfg: RatelessConfig, r_n) -> Optional[int]:
     """Rate-level segment l in 1..L containing r_n, or None past min(M, N).
 

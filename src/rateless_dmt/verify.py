@@ -44,7 +44,7 @@ def _interval(lo: float, hi: float, tol_scale: float) -> tuple[float, float]:
     return center - half, center + half
 
 
-def check_curve_2x2_L2(seed: int, tol_scale: float) -> CheckResult:
+def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
     """M=N=2, L=2: first-segment identity r = 2 r_n, d = f(r_n), exact."""
     ants = AntennaConfig(2, 2)
     cfg = RatelessConfig(ants, L=2)
@@ -54,24 +54,20 @@ def check_curve_2x2_L2(seed: int, tol_scale: float) -> CheckResult:
     for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
         if r_n < 1:
             if seg != 1 or pt.r != 2 * r_n or pt.d != tradeoff.tradeoff_f(ants, r_n):
-                return CheckResult(
-                    "curve-2x2-L2", False, f"mismatch at r_n={r_n}: {pt}", 0.0
-                )
+                return False, f"mismatch at r_n={r_n}: {pt}"
             checked += 1
     conv = {r_n: pt.d for r_n, pt in zip(conventional.r_n_grid, conventional.points)}
     anchors_ok = (
         conv.get(Fraction(0)) == 4 and conv.get(Fraction(1)) == 1 and conv.get(Fraction(2)) == 0
     )
-    return CheckResult(
-        "curve-2x2-L2",
+    return (
         checked > 0 and anchors_ok,
         f"{checked} first-segment points exact; conventional anchors (0,4),(1,1),(2,0) "
         f"{'ok' if anchors_ok else 'WRONG'}",
-        0.0,
     )
 
 
-def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> CheckResult:
+def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
     """M=N=3, L=4: four segments breaking at r_n = 0.75, 1.5, 2.25; d(3) = 0."""
     ants = AntennaConfig(3, 3)
     cfg = RatelessConfig(ants, L=4)
@@ -79,31 +75,26 @@ def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> CheckResult:
     rateless, _ = tradeoff.rateless_dmt_curve(cfg, grid)
     segs = set(rateless.segment_index)
     if segs != {0, 1, 2, 3, 4}:
-        return CheckResult("sawtooth-3x3-L4", False, f"segments found: {sorted(segs)}", 0.0)
+        return False, f"segments found: {sorted(segs)}"
     breaks = [Fraction(3, 4), Fraction(3, 2), Fraction(9, 4)]
     eps = Fraction(1, 10**9)
     for idx, b in enumerate(breaks, start=1):
         if tradeoff.rateless_segment(cfg, b - eps) != idx or tradeoff.rateless_segment(cfg, b) != idx + 1:
-            return CheckResult("sawtooth-3x3-L4", False, f"wrong break behavior at r_n={b}", 0.0)
+            return False, f"wrong break behavior at r_n={b}"
     for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
         if seg > 0:
             if pt.r != r_n * 4 / seg or pt.d != tradeoff.tradeoff_f(ants, r_n):
-                return CheckResult("sawtooth-3x3-L4", False, f"mismatch at r_n={r_n}", 0.0)
+                return False, f"mismatch at r_n={r_n}"
         else:
             if r_n != 3 or pt.d != 0:
-                return CheckResult("sawtooth-3x3-L4", False, f"bad tail point at r_n={r_n}", 0.0)
-    return CheckResult(
-        "sawtooth-3x3-L4",
-        True,
-        f"4 segments, breaks at {[str(b) for b in breaks]}, zero-diversity tail at r_n=3",
-        0.0,
-    )
+                return False, f"bad tail point at r_n={r_n}"
+    return True, f"4 segments, breaks at {[str(b) for b in breaks]}, zero-diversity tail at r_n=3"
 
 
 _ORACLE_TRIALS = 10**6
 
 
-def check_outage_oracle(seed: int, tol_scale: float) -> CheckResult:
+def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
     """SISO profile estimates vs the exponential-CDF closed form, 3 sigma."""
     cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
     R = 1.0
@@ -111,42 +102,40 @@ def check_outage_oracle(seed: int, tol_scale: float) -> CheckResult:
     cells = []
     for i, db in enumerate((0.0, 10.0, 20.0, 30.0)):
         eta = SnrPoint.from_db(db)
-        prof = simulate.estimate_outage_profile(cfg, eta, R, _ORACLE_TRIALS, seed, stream=i)
+        prof = simulate.outage_record(cfg, eta, R, _ORACLE_TRIALS, seed, stream=i).profile
         for l in (1, 2):
             oracle = simulate.siso_outage_closed_form(eta, cfg.L * R / l)
             z = abs(prof.p_hat[l] - oracle) / prof.stderr[l]
             worst = max(worst, z)
             cells.append(z <= 3.0 * tol_scale)
-    return CheckResult(
-        "outage-oracle",
+    return (
         all(cells),
         f"8 cells, worst |p_hat - closed| = {worst:.2f} stderr (limit {3.0 * tol_scale:g})",
-        0.0,
     )
 
 
-def check_analytic_slope(seed: int, tol_scale: float) -> CheckResult:
+def check_analytic_slope(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Closed-form outage exponents: slopes near 0.75 and 0.5 for r_n = 0.25."""
     etas = [SnrPoint.from_db(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
     r_n, L = 0.25, 2
     results = []
     details = []
     for l, (lo, hi) in ((2, (0.70, 0.78)), (1, (0.45, 0.53))):
-        pts = [
-            (eta, simulate.siso_outage_closed_form(eta, L * r_n * eta.log2_eta / l))
+        neglog = [
+            -math.log2(simulate.siso_outage_closed_form(eta, L * r_n * eta.log2_eta / l))
             for eta in etas
         ]
-        est = simulate.diversity_slope(pts)
+        est = simulate.diversity_slope(etas, neglog)
         lo_s, hi_s = _interval(lo, hi, tol_scale)
         results.append(lo_s <= est.slope <= hi_s)
         details.append(f"p({l}) slope {est.slope:.4f} in [{lo_s:g},{hi_s:g}]")
-    return CheckResult("analytic-slope", all(results), "; ".join(details), 0.0)
+    return all(results), "; ".join(details)
 
 
 _GAIN_TRIALS = 10**5
 
 
-def check_effective_gain(seed: int, tol_scale: float) -> CheckResult:
+def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
     """r_hat near 0.5 for r_n = 0.25 at 60 dB, closed form and Monte Carlo."""
     cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
     eta = SnrPoint.from_db(60.0)
@@ -156,21 +145,19 @@ def check_effective_gain(seed: int, tol_scale: float) -> CheckResult:
     rhat_cf = simulate.effective_rate(R, cfg.L, [1.0, p1], eta).r_hat
     ok_cf = abs(rhat_cf - 0.5) <= 0.05 * 0.5 * tol_scale
 
-    prof = simulate.estimate_outage_profile(cfg, eta, R, _GAIN_TRIALS, seed)
-    rhat_mc = simulate.effective_rate(R, cfg.L, prof, eta).r_hat
+    rec = simulate.outage_record(cfg, eta, R, _GAIN_TRIALS, seed)
+    prof, rhat_mc = rec.profile, rec.rate.r_hat
     # delta method: d r_bar / d p(1) = -R L / (1 + p(1))^2
     sigma = R * cfg.L * prof.stderr[1] / (1.0 + prof.p_hat[1]) ** 2 / eta.log2_eta
     ok_mc = abs(rhat_mc - rhat_cf) <= 3.0 * sigma * tol_scale
-    return CheckResult(
-        "effective-gain",
+    return (
         ok_cf and ok_mc,
         f"closed-form r_hat {rhat_cf:.4f} (target 0.5 within 5%), "
         f"MC r_hat {rhat_mc:.4f} within {3.0 * tol_scale:g} sigma ({sigma:.2e})",
-        0.0,
     )
 
 
-def check_rate_collapse(seed: int, tol_scale: float) -> CheckResult:
+def check_rate_collapse(seed: int, tol_scale: float) -> tuple[bool, str]:
     """r_n = 0.75 >= min(M,N)/L: rate halves to the second segment, p(1) stops decaying."""
     eta = SnrPoint.from_db(80.0)
     r_n, L = 0.75, 2
@@ -182,22 +169,20 @@ def check_rate_collapse(seed: int, tol_scale: float) -> CheckResult:
 
     etas = [SnrPoint.from_db(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
     neglog = [simulate.siso_outage_neg_log2(e, 2 * r_n * e.log2_eta) for e in etas]
-    est = simulate.diversity_slope_from_neg_log2(etas, neglog)
+    est = simulate.diversity_slope(etas, neglog)
     lo, hi = _interval(-0.05, 0.05, tol_scale)
     ok_slope = lo <= est.slope <= hi
-    return CheckResult(
-        "rate-collapse",
+    return (
         ok_rate and ok_slope,
         f"r_hat {rhat:.4f} (target {target:g} within 10%); "
         f"p(1) exponent slope {est.slope:.3g} in [{lo:g},{hi:g}]",
-        0.0,
     )
 
 
 _CODE_TRIALS = 10**6
 
 
-def check_permutation_code_trials(seed: int, tol_scale: float) -> CheckResult:
+def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Rateless 4-point code (R = bits / L = 1): stop oracle, error dominance, pairing."""
     searched, _ = permcode.search_permutation_code(L=2, bits=2)
     ident = permcode.identity_code(2, 2)
@@ -225,7 +210,7 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> CheckResult:
         # (c) early-stop errors do not dominate the final joint term
         if db == 40.0:
             early = float(np.sum(res_s.errors.joint_err[: L - 1]))
-            early_se = math.sqrt(early * (1 - early) / _CODE_TRIALS)
+            early_se = simulate.binomial_stderr(early, _CODE_TRIALS)
             last = res_s.errors.joint_err[L - 1]
             last_se = res_s.errors.joint_stderr[L - 1]
             slack = 3.0 * math.hypot(early_se, last_se) * tol_scale
@@ -240,7 +225,7 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> CheckResult:
                 f"{res_i.errors.p_e:.3e} + {pair_slack:.1e}"
             )
     detail = "; ".join(notes) if not failures else "; ".join(failures)
-    return CheckResult("permutation-code-trials", not failures, detail, 0.0)
+    return not failures, detail
 
 
 _DECODER_CODES = ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
@@ -260,32 +245,24 @@ def _brute_force_decode(code: permcode.PermutationCode, y, h, eta_linear, l) -> 
     return best_m
 
 
-def check_decoder_correctness(seed: int, tol_scale: float) -> CheckResult:
+def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Noiseless decoding is exact on every prefix; ML agrees with brute force."""
     codes = []
     for L, bits in _DECODER_CODES:
-        code, ev = permcode.search_permutation_code(L, bits, seed=seed)
-        if min(ev.per_prefix) <= 0:
-            return CheckResult(
-                "decoder-correctness", False, f"L={L} bits={bits}: non-decodable prefix", 0.0
-            )
+        code, per_prefix = permcode.search_permutation_code(L, bits, seed=seed)
+        if min(per_prefix) <= 0:
+            return False, f"L={L} bits={bits}: non-decodable prefix"
         codes.append(code)
-    eta = SnrPoint.from_db(10.0)
-    h = 0.6 - 0.35j
-    scale = math.sqrt(eta.eta_linear) * h
+    sqrt_eta = math.sqrt(SnrPoint.from_db(10.0).eta_linear)
+    h = np.array([0.6 - 0.35j])
     checked = 0
     for code in codes:
         for m in range(code.n_messages):
-            x = permcode.encode(code, m)
             for l in range(1, code.L + 1):
-                rx = permcode.ReceivedPrefix(y=scale * x[:l], h=h, eta=eta, l=l)
-                if permcode.ml_decode_prefix(code, rx) != m:
-                    return CheckResult(
-                        "decoder-correctness",
-                        False,
-                        f"noiseless miss: L={code.L} bits={code.bits} m={m} l={l}",
-                        0.0,
-                    )
+                table = code.symbol_table[:l]
+                y = sqrt_eta * h * table[:, m]
+                if permcode.ml_decode(table, y[None, :], h, sqrt_eta)[0] != m:
+                    return False, f"noiseless miss: L={code.L} bits={code.bits} m={m} l={l}"
                 checked += 1
 
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 12))))
@@ -297,18 +274,16 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> CheckResult:
         h_i = complex(gen.normal(), gen.normal()) * math.sqrt(0.5)
         m = int(gen.integers(code.n_messages))
         noise = (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
-        y = math.sqrt(eta_i.eta_linear) * h_i * permcode.encode(code, m)[:l] + noise
-        rx = permcode.ReceivedPrefix(y=y, h=h_i, eta=eta_i, l=l)
-        if permcode.ml_decode_prefix(code, rx) != _brute_force_decode(
-            code, y, h_i, eta_i.eta_linear, l
-        ):
+        sqrt_eta = math.sqrt(eta_i.eta_linear)
+        table = code.symbol_table[:l]
+        y = sqrt_eta * h_i * table[:, m] + noise
+        decoded = permcode.ml_decode(table, y[None, :], np.array([h_i]), sqrt_eta)[0]
+        if decoded != _brute_force_decode(code, y, h_i, eta_i.eta_linear, l):
             mismatches += 1
-    return CheckResult(
-        "decoder-correctness",
+    return (
         mismatches == 0,
         f"{checked} noiseless prefix decodes exact; "
         f"{_DECODER_RANDOM_INSTANCES} random instances, {mismatches} oracle mismatches",
-        0.0,
     )
 
 
@@ -326,7 +301,7 @@ def _code_bytes(code, eta, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> by
     return buf.getvalue().encode()
 
 
-def check_determinism(seed: int, tol_scale: float) -> CheckResult:
+def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Reruns and thread-count changes leave every serialized result byte-identical."""
     cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
     eta = SnrPoint.from_db(10.0)
@@ -355,17 +330,15 @@ def check_determinism(seed: int, tol_scale: float) -> CheckResult:
         bufs.append(buf.getvalue().encode())
     ok_exp = bufs[0] == bufs[1]
 
-    return CheckResult(
-        "determinism",
+    return (
         ok_profile and ok_code and ok_exp,
         f"profile rerun/threads {'ok' if ok_profile else 'DIFF'}, "
         f"code trials {'ok' if ok_code else 'DIFF'}, experiment {'ok' if ok_exp else 'DIFF'}",
-        0.0,
     )
 
 
 # name, implementation, runtime limit in seconds
-ALL_CHECKS: tuple[tuple[str, Callable[[int, float], CheckResult], float], ...] = (
+ALL_CHECKS: tuple[tuple[str, Callable[[int, float], tuple[bool, str]], float], ...] = (
     ("curve-2x2-L2", check_curve_2x2_L2, 1.0),
     ("sawtooth-3x3-L4", check_sawtooth_3x3_L4, 1.0),
     ("outage-oracle", check_outage_oracle, 60.0),
@@ -378,22 +351,20 @@ ALL_CHECKS: tuple[tuple[str, Callable[[int, float], CheckResult], float], ...] =
 )
 
 
-def run_check(name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
+def run_check(name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> tuple[bool, str]:
     """Run one named check with timing and the runtime budget applied."""
     for check_name, fn, limit in ALL_CHECKS:
         if check_name == name:
             start = time.perf_counter()
             try:
-                result = fn(seed, tol_scale)
+                passed, detail = fn(seed, tol_scale)
             except Exception as exc:  # a crashed check is a failed check
-                elapsed = time.perf_counter() - start
-                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", elapsed)
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
-            passed = result.passed and elapsed < limit
-            detail = result.detail
-            if result.passed and elapsed >= limit:
+            if passed and elapsed >= limit:
+                passed = False
                 detail += f" (runtime {elapsed:.1f}s exceeded {limit:g}s budget)"
-            return CheckResult(result.name, passed, detail, elapsed)
+            return CheckResult(name, passed, detail, elapsed)
     raise ValueError(f"unknown check {name!r}")
 
 

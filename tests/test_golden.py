@@ -23,6 +23,9 @@ CASES = {
     "simulate_2x2_L2": ["simulate", "--M", "2", "--N", "2", *_OUTAGE],
     "codes_searched_b2": ["codes", "--bits", "2", *_CODES],
     "codes_identity_b3": ["codes", "--bits", "3", "--identity", *_CODES],
+    # Hill-climb search: the budget cuts every restart, and every restart stops at a local optimum.
+    "codes_hillclimb_L3_b3": ["codes", "--L", "3", "--bits", "3", "--budget", "1600", *_CODES[2:]],
+    "codes_hillclimb_L2_b4": ["codes", "--L", "2", "--bits", "4", "--budget", "20000", *_CODES[2:]],
 }
 
 

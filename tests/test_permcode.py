@@ -12,9 +12,7 @@ from rateless_dmt import (
     SnrPoint,
     rng,
     build_qam,
-    encode,
     identity_code,
-    ml_decode_prefix,
     prefix_min_products,
     run_rateless_code_trials,
     search_permutation_code,
@@ -24,12 +22,19 @@ from rateless_dmt import (
 from rateless_dmt.permcode import (
     Constellation,
     PermutationCode,
-    ReceivedPrefix,
     codebook_text,
     load_codebook,
+    ml_decode,
     parse_codebook,
     save_codebook,
 )
+
+
+def _decode(code, y, h, eta):
+    """ML message for one received prefix y through the batched decoder."""
+    table = code.symbol_table[: len(y)]
+    sqrt_eta = math.sqrt(eta.eta_linear)
+    return int(ml_decode(table, np.asarray(y)[None, :], np.array([h]), sqrt_eta)[0])
 
 
 def test_qam_4_points():
@@ -86,12 +91,12 @@ def _exhaustive_best_full_prefix(points, L2_perms):
 
 
 def test_search_two_point_alphabet_ties_to_identity():
-    code, ev = search_permutation_code(L=2, bits=1)
+    code, per_prefix = search_permutation_code(L=2, bits=1)
     assert code.perms == ((0, 1), (0, 1))
     # oracle: both permutations of two points give the same products
     pts = code.constellation.points
     swap = abs(pts[1] - pts[0]) * abs(pts[0] - pts[1])
-    assert ev.per_prefix[1] == pytest.approx(swap)
+    assert per_prefix[1] == pytest.approx(swap)
 
 
 def test_search_4qam_all_permutations_tie():
@@ -100,7 +105,7 @@ def test_search_4qam_all_permutations_tie():
     # nearest pair, and no product can drop below d_min^2 either, so all
     # 24 candidates share the same full-prefix minimum. Tie-break returns
     # the identity.
-    code, ev = search_permutation_code(L=2, bits=2)
+    code, per_prefix = search_permutation_code(L=2, bits=2)
     pts = code.constellation.points
     all_perms = list(itertools.permutations(range(4)))
     i, j = np.triu_indices(4, k=1)
@@ -111,34 +116,33 @@ def test_search_4qam_all_permutations_tie():
         minima.add(round(float(np.min(d1 * np.abs(pp[i] - pp[j]))), 12))
     assert len(minima) == 1
     assert code.perms == (tuple(range(4)), tuple(range(4)))
-    assert ev.per_prefix[1] == pytest.approx(2.0)
-    assert ev.per_prefix[0] == pytest.approx(math.sqrt(2.0))
-    assert ev.worst_subset == 1
+    assert per_prefix[1] == pytest.approx(2.0)
+    assert per_prefix[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_search_8qam_strictly_improves_on_identity():
-    code, ev = search_permutation_code(L=2, bits=3)
+    code, per_prefix = search_permutation_code(L=2, bits=3)
     ident = identity_code(2, 3)
     best = _exhaustive_best_full_prefix(
         code.constellation.points, itertools.permutations(range(8))
     )
-    assert ev.per_prefix[1] == pytest.approx(best)
-    assert ev.per_prefix[1] > prefix_min_products(ident)[1] + 0.2
+    assert per_prefix[1] == pytest.approx(best)
+    assert per_prefix[1] > prefix_min_products(ident)[1] + 0.2
 
 
 def test_search_single_block_returns_constellation_distance():
-    code, ev = search_permutation_code(L=1, bits=3)
+    code, per_prefix = search_permutation_code(L=1, bits=3)
     assert code.perms == (tuple(range(8)),)
-    assert ev.per_prefix == (pytest.approx(code.constellation.min_distance),)
+    assert per_prefix == (pytest.approx(code.constellation.min_distance),)
 
 
 def test_search_randomized_mode_is_deterministic():
     # 16! candidates forces hill climbing; same seed, same winner
-    a, ev_a = search_permutation_code(L=2, bits=4, budget=20_000, seed=5)
-    b, ev_b = search_permutation_code(L=2, bits=4, budget=20_000, seed=5)
+    a, per_prefix_a = search_permutation_code(L=2, bits=4, budget=20_000, seed=5)
+    b, per_prefix_b = search_permutation_code(L=2, bits=4, budget=20_000, seed=5)
     assert a.perms == b.perms
-    assert ev_a.per_prefix == ev_b.per_prefix
-    assert ev_a.per_prefix[1] > prefix_min_products(identity_code(2, 4))[1]
+    assert per_prefix_a == per_prefix_b == prefix_min_products(a)
+    assert per_prefix_a[1] > prefix_min_products(identity_code(2, 4))[1]
 
 
 def test_search_rejects_bad_budget():
@@ -147,23 +151,22 @@ def test_search_rejects_bad_budget():
 
 
 def test_encode_repetition_and_searched():
+    # column m of the symbol table is the codeword of message m
     ident = identity_code(2, 2)
     pts = ident.constellation.points
     for m in range(4):
-        assert np.array_equal(encode(ident, m), np.array([pts[m], pts[m]]))
+        assert np.array_equal(ident.symbol_table[:, m], np.array([pts[m], pts[m]]))
     searched, _ = search_permutation_code(2, 3)
-    x = encode(searched, 0)
+    x = searched.symbol_table[:, 0]
     assert x[0] == searched.constellation.points[0]
     assert x[1] == searched.constellation.points[searched.perms[1][0]]
-    with pytest.raises(ValueError):
-        encode(ident, 4)
 
 
 def test_codewords_differ_in_every_block():
     code, _ = search_permutation_code(2, 3)
     for m1 in range(8):
         for m2 in range(m1 + 1, 8):
-            diff = encode(code, m1) - encode(code, m2)
+            diff = code.symbol_table[:, m1] - code.symbol_table[:, m2]
             assert np.all(np.abs(diff) > 0)
 
 
@@ -176,10 +179,11 @@ def test_block_energy_constraint():
 
 def test_prefix_injectivity_where_product_distance_positive():
     for L, bits in ((2, 1), (2, 2), (3, 2), (2, 3)):
-        code, ev = search_permutation_code(L, bits)
-        for l, dmin in enumerate(ev.per_prefix, start=1):
+        code, per_prefix = search_permutation_code(L, bits)
+        for l, dmin in enumerate(per_prefix, start=1):
             if dmin > 0:
-                prefixes = {tuple(np.round(encode(code, m)[:l], 12)) for m in range(code.n_messages)}
+                table = code.symbol_table[:l]
+                prefixes = {tuple(np.round(table[:, m], 12)) for m in range(code.n_messages)}
                 assert len(prefixes) == code.n_messages
 
 
@@ -189,17 +193,14 @@ def test_noiseless_decode_every_message_every_prefix():
     for L, bits in ((1, 2), (2, 2), (3, 2), (2, 3)):
         code, _ = search_permutation_code(L, bits)
         for m in range(code.n_messages):
-            x = encode(code, m)
+            x = code.symbol_table[:, m]
             for l in range(1, L + 1):
-                rx = ReceivedPrefix(y=math.sqrt(eta.eta_linear) * h * x[:l], h=h, eta=eta, l=l)
-                assert ml_decode_prefix(code, rx) == m
+                assert _decode(code, math.sqrt(eta.eta_linear) * h * x[:l], h, eta) == m
 
 
 def test_decode_zero_channel_ties_to_message_zero():
     code, _ = search_permutation_code(2, 2)
-    rx = ReceivedPrefix(y=np.array([0.1 + 0j, -0.2 + 0j]), h=0.0, eta=SnrPoint.from_db(10.0), l=2)
-    with pytest.warns(UserWarning):
-        assert ml_decode_prefix(code, rx) == 0
+    assert _decode(code, np.array([0.1 + 0j, -0.2 + 0j]), 0.0, SnrPoint.from_db(10.0)) == 0
 
 
 def _brute_force_decode(code, y, h, eta):
@@ -223,10 +224,10 @@ def test_decode_agrees_with_plain_python_oracle():
         eta = SnrPoint.from_db(float(gen.uniform(0, 35)))
         h = complex(gen.normal(), gen.normal()) * math.sqrt(0.5)
         m = int(gen.integers(8))
-        y = math.sqrt(eta.eta_linear) * h * encode(code, m)[:l]
+        y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:l, m]
         y = y + (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
         best = _brute_force_decode(code, y, h, eta)
-        assert ml_decode_prefix(code, ReceivedPrefix(y=y, h=h, eta=eta, l=l)) == best
+        assert _decode(code, y, h, eta) == best
 
 
 def test_trials_stop_probabilities_match_closed_form():
@@ -277,7 +278,7 @@ def test_trials_stop_and_errors_match_scalar_reference():
             fails[L - 1] += 1
             continue
         stop_hist[stop - 1] += 1
-        y = math.sqrt(eta.eta_linear) * h * encode(code, m)[:stop] + noise[:stop]
+        y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:stop, m] + noise[:stop]
         fails[stop - 1] += _brute_force_decode(code, y, h, eta) != m
     assert res.errors.stop_hist.tolist() == stop_hist.tolist()
     assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
@@ -348,10 +349,8 @@ def test_blanked_tail_blocks_leave_prefix_decoding_intact():
     eta = SnrPoint.from_db(30.0)
     h = 0.9 - 0.1j
     for m in range(4):
-        x = encode(code, m)
-        live = math.sqrt(eta.eta_linear) * h * x[:1]  # block 2 gain is zero
-        rx = ReceivedPrefix(y=live, h=h, eta=eta, l=1)
-        assert ml_decode_prefix(code, rx) == m
+        live = math.sqrt(eta.eta_linear) * h * code.symbol_table[:1, m]  # block 2 gain is zero
+        assert _decode(code, live, h, eta) == m
 
 
 def test_codebook_round_trip_is_bit_exact():

@@ -16,9 +16,8 @@ from rateless_dmt import (
     RatelessConfig,
     SnrPoint,
     diversity_slope,
-    diversity_slope_from_neg_log2,
     effective_rate,
-    estimate_outage_profile,
+    outage_record,
     rng,
     run_rateless_code_trials,
     run_rateless_experiment,
@@ -178,16 +177,17 @@ def test_siso_neg_log2_matches_probability_form_then_stays_finite():
 
 def test_outage_profile_estimates_match_closed_form():
     eta = SnrPoint.from_db(10.0)
-    prof = estimate_outage_profile(SISO_L2, eta, R=1.0, trials=400_000, seed=101)
+    prof = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101).profile
     oracle = siso_outage_profile(eta, 1.0, 2)
     for l in (1, 2):
         assert abs(prof.p_hat[l] - oracle[l]) <= 3.0 * prof.stderr[l]
 
 
 def test_outage_profile_zero_rate_never_fails():
-    prof = estimate_outage_profile(SISO_L2, SnrPoint.from_db(0.0), R=0.0, trials=10_000, seed=1)
-    assert prof.p_hat[0] == 1.0
-    assert np.all(prof.p_hat[1:] == 0.0)
+    rec = outage_record(SISO_L2, SnrPoint.from_db(0.0), R=0.0, trials=10_000, seed=1)
+    assert rec.profile.p_hat[0] == 1.0
+    assert np.all(rec.profile.p_hat[1:] == 0.0)
+    assert math.isnan(rec.rate.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
 
 
 def test_outage_profile_monotone_in_l_and_eta():
@@ -195,7 +195,7 @@ def test_outage_profile_monotone_in_l_and_eta():
     seed = 77
     prev = None
     for db in (0.0, 5.0, 10.0):
-        prof = estimate_outage_profile(cfg, SnrPoint.from_db(db), R=2.0, trials=20_000, seed=seed)
+        prof = outage_record(cfg, SnrPoint.from_db(db), R=2.0, trials=20_000, seed=seed).profile
         assert np.all(np.diff(prof.p_hat) <= 0)
         if prev is not None:
             # same seed and stream: common fading draws couple the comparison
@@ -205,9 +205,10 @@ def test_outage_profile_monotone_in_l_and_eta():
 
 def test_outage_profile_deterministic_across_workers():
     eta = SnrPoint.from_db(12.0)
-    a = estimate_outage_profile(SISO_L2, eta, 1.0, 50_000, seed=3, workers=1)
-    b = estimate_outage_profile(SISO_L2, eta, 1.0, 50_000, seed=3, workers=4, chunk=999)
-    assert np.array_equal(a.p_hat, b.p_hat)
+    a = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=1)
+    b = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=4, chunk=999)
+    assert np.array_equal(a.profile.p_hat, b.profile.p_hat)
+    assert np.array_equal(a.stop_hist, b.stop_hist)
 
 
 def test_outage_profile_type_rejects_bad_vectors():
@@ -236,9 +237,13 @@ def test_effective_rate_bounds(R, tail):
     assert r_bar <= L * R + 1e-12 * max(1.0, L * R)
 
 
+def _slope(pts):
+    return diversity_slope([eta for eta, _ in pts], [-math.log2(p) for _, p in pts])
+
+
 def test_diversity_slope_exact_power_law():
     pts = [(SnrPoint.from_linear(10.0**k), 10.0 ** (-2 * k)) for k in (2, 3, 4)]
-    est = diversity_slope(pts)
+    est = _slope(pts)
     assert est.slope == pytest.approx(2.0, abs=1e-9)
     assert est.secant == pytest.approx(2.0, abs=1e-9)
     assert est.residual_rms == pytest.approx(0.0, abs=1e-9)
@@ -246,37 +251,26 @@ def test_diversity_slope_exact_power_law():
 
 def test_diversity_slope_constant_probability():
     pts = [(SnrPoint.from_db(d), 0.25) for d in (10.0, 20.0, 30.0)]
-    assert diversity_slope(pts).slope == pytest.approx(0.0, abs=1e-12)
+    assert _slope(pts).slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diversity_slope_closed_form_siso_quarter_gain():
     etas = [SnrPoint.from_db(d) for d in range(40, 81, 10)]
     pts = [(e, siso_outage_closed_form(e, 0.25 * e.log2_eta)) for e in etas]
-    est = diversity_slope(pts)
+    est = _slope(pts)
     assert 0.70 <= est.slope <= 0.78  # finite-SNR bias below the limit 0.75
 
 
-def test_diversity_slope_excludes_degenerate_points():
-    pts = [
-        (SnrPoint.from_db(10.0), 0.5),
-        (SnrPoint.from_db(20.0), 0.25),
-        (SnrPoint.from_db(30.0), 0.0),
-    ]
-    with pytest.warns(UserWarning):
-        est = diversity_slope(pts)
-    assert est.n_used == 2
-    with pytest.raises(ValueError), pytest.warns(UserWarning):
-        diversity_slope([(SnrPoint.from_db(10.0), 1.0), (SnrPoint.from_db(20.0), 0.0)])
-
-
-def test_diversity_slope_from_neg_log2_validates():
+def test_diversity_slope_validates():
     etas = [SnrPoint.from_db(10.0), SnrPoint.from_db(20.0)]
-    est = diversity_slope_from_neg_log2(etas, [1.0, 2.0])
+    est = diversity_slope(etas, [1.0, 2.0])
     assert est.slope == pytest.approx((2.0 - 1.0) / (etas[1].log2_eta - etas[0].log2_eta))
     with pytest.raises(ValueError):
-        diversity_slope_from_neg_log2(etas, [1.0])
+        diversity_slope(etas, [1.0])
     with pytest.raises(ValueError):
-        diversity_slope_from_neg_log2(etas, [1.0, math.inf])
+        diversity_slope(etas, [1.0, math.inf])  # p = 0
+    with pytest.raises(ValueError):
+        diversity_slope([etas[0], etas[0]], [1.0, 2.0])
 
 
 def test_experiment_single_block_reduces_to_plain_outage():
@@ -330,4 +324,6 @@ def test_experiment_rejects_bad_args():
     with pytest.raises(ValueError):
         run_rateless_experiment(SISO_L2, -0.1, [SnrPoint.from_db(10.0)], 100, seed=0)
     with pytest.raises(ValueError):
-        estimate_outage_profile(SISO_L2, SnrPoint.from_db(10.0), 1.0, 0, seed=0)
+        outage_record(SISO_L2, SnrPoint.from_db(10.0), 1.0, 0, seed=0)
+    with pytest.raises(ValueError):
+        outage_record(SISO_L2, SnrPoint.from_db(10.0), -1.0, 100, seed=0)

@@ -12,7 +12,6 @@ from rateless_dmt import (
     DmtCurve,
     GainPoint,
     RatelessConfig,
-    conventional_dmt,
     default_r_n_grid,
     parallel_dmt_curve,
     parallel_identical_dmt,
@@ -51,11 +50,11 @@ def test_f_rejects_negative():
 
 
 def test_conventional_values_and_domain():
-    assert conventional_dmt(AntennaConfig(2, 2), 1) == 1
-    assert conventional_dmt(AntennaConfig(3, 3), 0) == 9
-    assert conventional_dmt(AntennaConfig(3, 3), F(3, 2)) == F(5, 2)
-    with pytest.raises(ValueError):
-        conventional_dmt(AntennaConfig(2, 2), F(5, 2))
+    # a fixed-rate scheme at multiplexing gain r has diversity f(r)
+    assert tradeoff_f(AntennaConfig(2, 2), 1) == 1
+    assert tradeoff_f(AntennaConfig(3, 3), 0) == 9
+    assert tradeoff_f(AntennaConfig(3, 3), F(3, 2)) == F(5, 2)
+    assert tradeoff_f(AntennaConfig(2, 2), F(5, 2)) == 0
 
 
 @given(antenna_configs, gains, gains)
@@ -144,7 +143,7 @@ def test_first_segment_multiplies_gain_by_L(cfg, r_n):
     if r_n < F(m, cfg.L):
         pt = rateless_dmt_point(cfg, r_n)
         assert pt.r == cfg.L * r_n
-        assert pt.d == conventional_dmt(cfg.antennas, r_n)
+        assert pt.d == tradeoff_f(cfg.antennas, r_n)
         # and coincides with the shared-matrix parallel baseline at gain r
         assert pt.d == parallel_identical_dmt(cfg, pt.r)
 
