@@ -14,21 +14,14 @@ from rateless_dmt import (
     AntennaConfig,
     RatelessConfig,
     default_r_n_grid,
-    parallel_dmt_curve,
-    rateless_dmt_curve,
+    dmt_curves,
     write_curves_csv,
 )
 
 
 def emit(cfg: RatelessConfig, path: Path, per_segment: int) -> None:
     grid = default_r_n_grid(cfg, per_segment)
-    rateless, conventional = rateless_dmt_curve(cfg, grid)
-    curves = [
-        rateless,
-        conventional,
-        parallel_dmt_curve(cfg, grid, iid=False),
-        parallel_dmt_curve(cfg, grid, iid=True),
-    ]
+    curves = dmt_curves(cfg, grid)
     meta = {"M": cfg.M, "N": cfg.N, "L": cfg.L, "per_segment": per_segment}
     with open(path, "w", newline="") as f:
         write_curves_csv(f, curves, exact=True, metadata=meta)

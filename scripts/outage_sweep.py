@@ -49,12 +49,12 @@ def main(argv=None) -> None:
             write_experiment_csv(f, records, args.seed, metadata=meta)
         print(f"r_n = {r_n}: wrote {path}")
         for l in range(1, args.L + 1):
-            usable = [rec for rec in records if 0.0 < rec.profile.p_hat[l] < 1.0]
+            usable = [rec for rec in records if 0.0 < rec.p_hat[l] < 1.0]
             if len(usable) < 2:
                 print(f"  p({l}): too few usable points for a slope fit")
                 continue
             est = diversity_slope(
-                [rec.eta for rec in usable], [-math.log2(rec.profile.p_hat[l]) for rec in usable]
+                [rec.eta for rec in usable], [-math.log2(rec.p_hat[l]) for rec in usable]
             )
             limit = float(tradeoff_f(cfg.antennas, min(1, args.L * r_n / l)))
             print(

@@ -23,7 +23,6 @@ from .permcode import (
 )
 from .simulate import (
     EffectiveRate,
-    OutageProfile,
     SlopeEstimate,
     SnrPoint,
     diversity_slope,
@@ -37,10 +36,9 @@ from .tradeoff import (
     DmtCurve,
     GainPoint,
     default_r_n_grid,
-    parallel_dmt_curve,
+    dmt_curves,
     parallel_identical_dmt,
     parallel_iid_dmt,
-    rateless_dmt_curve,
     rateless_dmt_point,
     rateless_segment,
     tradeoff_f,

@@ -133,13 +133,7 @@ def cmd_dmt(args: argparse.Namespace) -> int:
     cfg = RatelessConfig(AntennaConfig(M, N), L=L, T=T)
     start = time.perf_counter()
     grid = tradeoff.default_r_n_grid(cfg, args.per_segment)
-    rateless, conventional = tradeoff.rateless_dmt_curve(cfg, grid)
-    curves = [
-        rateless,
-        conventional,
-        tradeoff.parallel_dmt_curve(cfg, grid, iid=False),
-        tradeoff.parallel_dmt_curve(cfg, grid, iid=True),
-    ]
+    curves = tradeoff.dmt_curves(cfg, grid)
     path = _open_out(args.out, "dmt_curves.csv")
     meta = _metadata("dmt", {"M": M, "N": N, "L": L, "T": T, "per_segment": args.per_segment})
     with open(path, "w", newline="") as f:
@@ -193,6 +187,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_codes(args: argparse.Namespace) -> int:
     cfg_raw = _gather(args)
+    for key in ("M", "N", "T"):
+        _optional(cfg_raw, key, int, 1, lambda v: v == 1, "codes are SISO with unit block length")
     eta_db = _require(cfg_raw, "eta_db_list", _parse_eta_list)
     trials = _require(cfg_raw, "trials", int, _positive, ">= 1")
     seed = _require(cfg_raw, "seed", int, _nonnegative, ">= 0")
@@ -303,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_codes = sub.add_parser(
-        "codes", parents=[common, dims], help="build a permutation codebook and measure errors"
+        "codes", parents=[common], help="build a SISO permutation codebook and measure errors"
     )
+    p_codes.add_argument("--L", type=int, default=None, help="blocks per codeword")
     p_codes.add_argument("--bits", type=int, default=None, help="codebook size exponent")
     p_codes.add_argument("--budget", type=int, default=None, help="search evaluation budget")
     p_codes.add_argument("--codebook", default=None, help="load this codebook instead of searching")

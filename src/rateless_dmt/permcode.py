@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Mapping, Optional, Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng, simulate
 from .configs import AntennaConfig, RatelessConfig
-from .simulate import EffectiveRate, OutageProfile, SnrPoint, binomial_stderr, effective_rate
+from .simulate import SnrPoint, SnrRecord, binomial_stderr
 from .tradeoff import format_sig12, write_csv_header
 
 MAX_BITS = 8
@@ -54,11 +54,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def min_distance(self) -> float:
-        i, j = np.triu_indices(self.size, k=1)
-        return float(np.min(np.abs(self.points[i] - self.points[j])))
 
 
 def build_qam(bits: int) -> Constellation:
@@ -251,37 +246,57 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """Per-stopping-block error accounting over one batch of trials.
+    """Per-stopping-block error accounting from the counts of one batch of trials.
 
-    joint_err[l - 1] estimates Pr(decoding error and stop at block l);
-    the final entry also carries the outage mass, since an undecoded
-    message is a failure, so p_e = sum(joint_err) is the overall error
-    probability. stop_hist counts stops at 1..L and then outages.
-    cond_err_nonoutage is the error rate among trials that decoded.
+    err_counts[l - 1] counts decoding errors among trials that stopped at
+    block l; stop_hist counts stops at 1..L and then outages.
+    joint_err[l - 1] estimates Pr(decoding error and stop at block l); the
+    final entry also carries the outage mass, since an undecoded message
+    is a failure, so p_e = sum(joint_err) is the overall error
+    probability. cond_err_nonoutage is the error rate among trials that
+    decoded.
     """
 
-    joint_err: np.ndarray
-    joint_stderr: np.ndarray
-    p_e: float
-    p_e_stderr: float
+    err_counts: np.ndarray
     stop_hist: np.ndarray
-    cond_err_nonoutage: float
-    trials: int
 
-    def __post_init__(self):
-        if abs(self.p_e - float(np.sum(self.joint_err))) > 1e-12:
-            raise ValueError("p_e must equal the sum of joint_err")
-        if np.any(self.joint_err < 0) or np.any(self.joint_err > 1):
-            raise ValueError("joint_err entries must lie in [0, 1]")
+    @property
+    def trials(self) -> int:
+        return int(self.stop_hist.sum())
+
+    @cached_property
+    def joint_err(self) -> np.ndarray:
+        fail_counts = self.err_counts.copy()
+        fail_counts[-1] += self.stop_hist[-1]
+        return fail_counts / self.trials
+
+    @property
+    def joint_stderr(self) -> np.ndarray:
+        return binomial_stderr(self.joint_err, self.trials)
+
+    @property
+    def p_e(self) -> float:
+        return float(np.sum(self.joint_err))
+
+    @property
+    def p_e_stderr(self) -> float:
+        return float(binomial_stderr(self.p_e, self.trials))
+
+    @property
+    def cond_err_nonoutage(self) -> float:
+        decoded_trials = int(np.sum(self.stop_hist[:-1]))
+        return float(np.sum(self.err_counts)) / decoded_trials if decoded_trials else math.nan
 
 
 @dataclass(frozen=True)
-class CodeTrialResult:
-    errors: ErrorDecomposition
-    outage: OutageProfile
-    rate: EffectiveRate
-    eta: SnrPoint
-    R: float
+class CodeTrialResult(SnrRecord):
+    """An :class:`SnrRecord` of code trials plus the decoding errors per stopping block."""
+
+    err_counts: np.ndarray = field(repr=False)
+
+    @cached_property
+    def errors(self) -> ErrorDecomposition:
+        return ErrorDecomposition(err_counts=self.err_counts, stop_hist=self.stop_hist)
 
 
 class _PrefixErrors:
@@ -317,22 +332,6 @@ class _PrefixErrors:
         return err_counts
 
 
-def _code_counts(
-    code: PermutationCode, eta: SnrPoint, trials: int, seed: int, stream: int, workers: int, chunk: int
-) -> tuple[OutageProfile, np.ndarray, np.ndarray]:
-    """(outage profile, stop histogram, errors per stopping block) at the code's own rate."""
-    L = code.L
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=L)
-    # bound the per-chunk distance matrix to ~32 MB for large codebooks
-    chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
-    counts = simulate.short_counts(
-        cfg, eta, code.bits / L, trials, seed,
-        stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
-    )
-    profile, stop_hist = simulate.profile_and_stops(counts[:L], trials)
-    return profile, stop_hist, counts[L:]
-
-
 def run_rateless_code_trials(
     code: PermutationCode,
     eta: SnrPoint,
@@ -352,27 +351,15 @@ def run_rateless_code_trials(
     """
     L = code.L
     R = code.bits / L
-    profile, stop_hist, err_counts = _code_counts(code, eta, trials, seed, stream, workers, chunk)
-
-    fail_counts = err_counts.copy()
-    fail_counts[L - 1] += stop_hist[L]
-    joint = fail_counts / trials
-    p_e = float(np.sum(joint))
-
-    decoded_trials = int(np.sum(stop_hist[:L]))
-    cond = float(np.sum(err_counts)) / decoded_trials if decoded_trials else math.nan
-
-    errors = ErrorDecomposition(
-        joint_err=joint,
-        joint_stderr=binomial_stderr(joint, trials),
-        p_e=p_e,
-        p_e_stderr=float(binomial_stderr(p_e, trials)),
-        stop_hist=stop_hist,
-        cond_err_nonoutage=cond,
-        trials=trials,
+    cfg = RatelessConfig(AntennaConfig(1, 1), L=L)
+    # bound the per-chunk distance matrix to ~32 MB for large codebooks
+    chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
+    counts = simulate.short_counts(
+        cfg, eta, R, trials, seed,
+        stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
     )
     return CodeTrialResult(
-        errors=errors, outage=profile, rate=effective_rate(R, L, profile.p_hat, eta), eta=eta, R=R
+        eta=eta, R=R, stop_hist=simulate.stop_histogram(counts[:L], trials), err_counts=counts[L:]
     )
 
 
@@ -401,10 +388,10 @@ def universality_margin(
     per_prefix = prefix_min_products(code)
     cells: dict[tuple[int, float], Optional[float]] = {}
     for idx, eta in enumerate(eta_grid):
-        _, stop_hist, err_counts = _code_counts(code, eta, trials, seed, idx, workers, chunk)
+        res = run_rateless_code_trials(code, eta, trials, seed, stream=idx, workers=workers, chunk=chunk)
         for l in range(1, L + 1):
-            stopped = int(stop_hist[l - 1])
-            cells[(l, eta.eta_db)] = err_counts[l - 1] / stopped if stopped >= min_count else None
+            stopped = int(res.stop_hist[l - 1])
+            cells[(l, eta.eta_db)] = res.err_counts[l - 1] / stopped if stopped >= min_count else None
 
     prefix_decay = []
     for l in range(1, L + 1):
@@ -511,11 +498,13 @@ def write_trials_csv(
     """Rows `eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed`."""
     write_csv_header(out, "eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed", metadata)
     for res in results:
-        for l in range(1, len(res.errors.joint_err) + 1):
+        err = res.errors
+        joint_stderr, p_e, cond = err.joint_stderr, err.p_e, err.cond_err_nonoutage
+        for l in range(1, len(err.joint_err) + 1):
             out.write(
                 f"{format_sig12(res.eta.eta_db)},{l},"
-                f"{format_sig12(res.errors.joint_err[l - 1])},"
-                f"{format_sig12(res.errors.joint_stderr[l - 1])},"
-                f"{format_sig12(res.errors.p_e)},"
-                f"{format_sig12(res.errors.cond_err_nonoutage)},{seed}\n"
+                f"{format_sig12(err.joint_err[l - 1])},"
+                f"{format_sig12(joint_stderr[l - 1])},"
+                f"{format_sig12(p_e)},"
+                f"{format_sig12(cond)},{seed}\n"
             )

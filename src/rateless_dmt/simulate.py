@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
@@ -44,40 +45,9 @@ class SnrPoint:
     def from_db(cls, eta_db: float) -> "SnrPoint":
         return cls(eta_linear=10.0 ** (eta_db / 10.0), eta_db=eta_db)
 
-    @classmethod
-    def from_linear(cls, eta_linear: float) -> "SnrPoint":
-        return cls(eta_linear=eta_linear, eta_db=10.0 * math.log10(eta_linear))
-
     @property
     def log2_eta(self) -> float:
         return math.log2(self.eta_linear)
-
-
-@dataclass(frozen=True)
-class OutageProfile:
-    """Estimated p(l) = Pr(accumulated information < message size after block l).
-
-    Index 0..L; p_hat[0] is identically 1. The standard errors are the
-    binomial sqrt(p (1 - p) / n).
-    """
-
-    p_hat: np.ndarray
-    stderr: np.ndarray
-    trials: int
-
-    def __post_init__(self):
-        if self.p_hat.shape != self.stderr.shape or self.p_hat.ndim != 1:
-            raise ValueError("p_hat and stderr must be 1-D and equal length")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.p_hat[0] != 1.0:
-            raise ValueError("p_hat[0] must be exactly 1")
-        if np.any(np.diff(self.p_hat) > 0):
-            raise ValueError("p_hat must be nonincreasing in l")
-
-    @property
-    def L(self) -> int:
-        return len(self.p_hat) - 1
 
 
 @dataclass(frozen=True)
@@ -104,13 +74,41 @@ class SlopeEstimate:
 
 @dataclass(frozen=True)
 class SnrRecord:
-    """Everything measured at one SNR point of a rateless experiment."""
+    """The stop counts of one SNR point and rate R; every estimate derives from them.
+
+    stop_hist counts the trials that stopped at blocks 1..L, then the
+    outages. p_hat[l] = Pr(still short after block l) for l = 0..L, so
+    p_hat[0] is 1 and p_hat is nonincreasing; the standard errors are the
+    binomial sqrt(p (1 - p) / n).
+    """
 
     eta: SnrPoint
     R: float
-    profile: OutageProfile
-    rate: EffectiveRate
-    stop_hist: np.ndarray = field(repr=False)  # counts: stop at 1..L, then outage
+    stop_hist: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.stop_hist.ndim != 1 or np.any(self.stop_hist < 0) or self.trials < 1:
+            raise ValueError("stop_hist must be 1-D nonnegative counts with >= 1 trial")
+
+    @property
+    def trials(self) -> int:
+        return int(self.stop_hist.sum())
+
+    @property
+    def L(self) -> int:
+        return len(self.stop_hist) - 1
+
+    @cached_property
+    def p_hat(self) -> np.ndarray:
+        return (self.trials - np.concatenate(([0], np.cumsum(self.stop_hist[:-1])))) / self.trials
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return binomial_stderr(self.p_hat, self.trials)
+
+    @property
+    def rate(self) -> EffectiveRate:
+        return effective_rate(self.R, self.L, self.p_hat, self.eta)
 
 
 def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
@@ -212,18 +210,9 @@ def binomial_stderr(p, n: int):
     return np.sqrt(p * (1.0 - p) / n)
 
 
-def profile_and_stops(short: np.ndarray, trials: int) -> tuple[OutageProfile, np.ndarray]:
-    """p(0..L) with binomial standard errors, and the stop histogram, from short counts.
-
-    short[l - 1] counts trials still short after block l. A trial stops at
-    block l when it was short after l - 1 blocks but not after l; the
-    histogram counts stops at 1..L and then outages.
-    """
-    after = np.concatenate(([trials], short))
-    p_hat = after / trials
-    stderr = binomial_stderr(p_hat, trials)
-    stop_hist = np.append(after[:-1] - after[1:], short[-1])
-    return OutageProfile(p_hat=p_hat, stderr=stderr, trials=trials), stop_hist
+def stop_histogram(short: np.ndarray, trials: int) -> np.ndarray:
+    """Stops at blocks 1..L, then outages, from short[l - 1] = trials still short after block l."""
+    return -np.diff(np.concatenate(([trials], short, [0])))
 
 
 def outage_record(
@@ -247,9 +236,7 @@ def outage_record(
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
     counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
-    profile, stop_hist = profile_and_stops(counts, trials)
-    rate = effective_rate(R, cfg.L, profile.p_hat, eta)
-    return SnrRecord(eta=eta, R=R, profile=profile, rate=rate, stop_hist=stop_hist)
+    return SnrRecord(eta=eta, R=R, stop_hist=stop_histogram(counts, trials))
 
 
 def effective_rate(
@@ -334,10 +321,11 @@ def write_experiment_csv(
     """Rows `eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed`, one per (SNR, l)."""
     write_csv_header(out, "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed", metadata)
     for rec in records:
-        for l in range(len(rec.profile.p_hat)):
+        p_hat, stderr, rate = rec.p_hat, rec.stderr, rec.rate
+        for l in range(len(p_hat)):
             out.write(
                 f"{format_sig12(rec.eta.eta_db)},{l},"
-                f"{format_sig12(rec.profile.p_hat[l])},{format_sig12(rec.profile.stderr[l])},"
-                f"{rec.profile.trials},{format_sig12(rec.rate.r_bar)},"
-                f"{format_sig12(rec.rate.r_hat)},{seed}\n"
+                f"{format_sig12(p_hat[l])},{format_sig12(stderr[l])},"
+                f"{rec.trials},{format_sig12(rate.r_bar)},"
+                f"{format_sig12(rate.r_hat)},{seed}\n"
             )

@@ -21,15 +21,10 @@ DEFAULT_POINTS_PER_SEGMENT = 512
 
 @dataclass(frozen=True)
 class GainPoint:
-    """One (multiplexing gain r, diversity gain d) point.
-
-    ``clamped`` marks zero-diversity tail reporting, where r is pinned to
-    min(M, N) no matter how large the per-level gain was.
-    """
+    """One (multiplexing gain r, diversity gain d) point."""
 
     r: Fraction
     d: Fraction
-    clamped: bool = False
 
     def __post_init__(self):
         if self.r < 0 or self.d < 0:
@@ -104,7 +99,7 @@ def rateless_dmt_point(cfg: RatelessConfig, r_n) -> GainPoint:
     r_n = Fraction(r_n)
     seg = rateless_segment(cfg, r_n)
     if seg is None:
-        return GainPoint(r=Fraction(cfg.min_antennas), d=Fraction(0), clamped=True)
+        return GainPoint(r=Fraction(cfg.min_antennas), d=Fraction(0))
     r = r_n * cfg.L / seg
     return GainPoint(r=r, d=tradeoff_f(cfg.antennas, seg * r / cfg.L))
 
@@ -145,58 +140,28 @@ def default_r_n_grid(
     return tuple(grid)
 
 
-def _validate_grid(grid: Sequence) -> tuple[Fraction, ...]:
-    vals = tuple(Fraction(g) for g in grid)
-    if any(v < 0 for v in vals):
-        raise ValueError("grid values must be >= 0")
-    for a, b in zip(vals, vals[1:]):
-        if not a < b:
-            raise ValueError("grid must be sorted strictly increasing")
-    return vals
+def dmt_curves(cfg: RatelessConfig, r_n_grid: Sequence) -> tuple[DmtCurve, ...]:
+    """The tradeoff curves of all four schemes over one r_n grid, in SCHEMES order.
 
-
-def rateless_dmt_curve(cfg: RatelessConfig, r_n_grid: Sequence) -> tuple[DmtCurve, DmtCurve]:
-    """Rateless and conventional tradeoff curves over a shared r_n grid.
-
-    Returns (rateless, conventional). The conventional curve evaluates
-    f(r_n) directly (zero past min(M, N)), so both curves cover the whole
-    grid for side-by-side comparison.
+    The rateless curve tags each point with its segment (0 on the
+    zero-diversity tail). The conventional curve evaluates f(r_n)
+    directly, zero past min(M, N), so it covers the whole grid for
+    side-by-side comparison. The parallel-channel baselines are plotted
+    at r = L * r_n.
     """
-    grid = _validate_grid(r_n_grid)
-    rateless_points = []
-    segments = []
-    conventional_points = []
-    for r_n in grid:
-        pt = rateless_dmt_point(cfg, r_n)
-        rateless_points.append(pt)
-        seg = rateless_segment(cfg, r_n)
-        segments.append(0 if seg is None else seg)
-        conventional_points.append(GainPoint(r=r_n, d=tradeoff_f(cfg.antennas, r_n)))
-    rateless = DmtCurve(
-        scheme="rateless",
-        r_n_grid=grid,
-        points=tuple(rateless_points),
-        segment_index=tuple(segments),
+    grid = tuple(Fraction(g) for g in r_n_grid)  # DmtCurve rejects an unsorted grid
+    L = cfg.L
+    columns = (
+        [rateless_dmt_point(cfg, r_n) for r_n in grid],
+        [GainPoint(r=r_n, d=tradeoff_f(cfg.antennas, r_n)) for r_n in grid],
+        [GainPoint(r=L * r_n, d=parallel_identical_dmt(cfg, L * r_n)) for r_n in grid],
+        [GainPoint(r=L * r_n, d=parallel_iid_dmt(cfg, L * r_n)) for r_n in grid],
     )
-    conventional = DmtCurve(
-        scheme="conventional",
-        r_n_grid=grid,
-        points=tuple(conventional_points),
-        segment_index=(0,) * len(grid),
-    )
-    return rateless, conventional
-
-
-def parallel_dmt_curve(cfg: RatelessConfig, r_n_grid: Sequence, iid: bool) -> DmtCurve:
-    """Parallel-channel baseline over the r_n grid, plotted at r = L * r_n."""
-    grid = _validate_grid(r_n_grid)
-    fn = parallel_iid_dmt if iid else parallel_identical_dmt
-    points = tuple(GainPoint(r=cfg.L * r_n, d=fn(cfg, cfg.L * r_n)) for r_n in grid)
-    return DmtCurve(
-        scheme="parallel_iid" if iid else "parallel_identical",
-        r_n_grid=grid,
-        points=points,
-        segment_index=(0,) * len(grid),
+    segments = tuple(rateless_segment(cfg, r_n) or 0 for r_n in grid)
+    untagged = (0,) * len(grid)
+    return tuple(
+        DmtCurve(scheme, grid, tuple(points), segments if scheme == "rateless" else untagged)
+        for scheme, points in zip(SCHEMES, columns)
     )
 
 

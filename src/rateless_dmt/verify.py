@@ -49,7 +49,7 @@ def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
     ants = AntennaConfig(2, 2)
     cfg = RatelessConfig(ants, L=2)
     grid = tradeoff.default_r_n_grid(cfg)
-    rateless, conventional = tradeoff.rateless_dmt_curve(cfg, grid)
+    rateless, conventional = tradeoff.dmt_curves(cfg, grid)[:2]
     checked = 0
     for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
         if r_n < 1:
@@ -72,7 +72,7 @@ def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
     ants = AntennaConfig(3, 3)
     cfg = RatelessConfig(ants, L=4)
     grid = tradeoff.default_r_n_grid(cfg)
-    rateless, _ = tradeoff.rateless_dmt_curve(cfg, grid)
+    rateless = tradeoff.dmt_curves(cfg, grid)[0]
     segs = set(rateless.segment_index)
     if segs != {0, 1, 2, 3, 4}:
         return False, f"segments found: {sorted(segs)}"
@@ -102,10 +102,10 @@ def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
     cells = []
     for i, db in enumerate((0.0, 10.0, 20.0, 30.0)):
         eta = SnrPoint.from_db(db)
-        prof = simulate.outage_record(cfg, eta, R, _ORACLE_TRIALS, seed, stream=i).profile
+        rec = simulate.outage_record(cfg, eta, R, _ORACLE_TRIALS, seed, stream=i)
         for l in (1, 2):
             oracle = simulate.siso_outage_closed_form(eta, cfg.L * R / l)
-            z = abs(prof.p_hat[l] - oracle) / prof.stderr[l]
+            z = abs(rec.p_hat[l] - oracle) / rec.stderr[l]
             worst = max(worst, z)
             cells.append(z <= 3.0 * tol_scale)
     return (
@@ -146,9 +146,9 @@ def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
     ok_cf = abs(rhat_cf - 0.5) <= 0.05 * 0.5 * tol_scale
 
     rec = simulate.outage_record(cfg, eta, R, _GAIN_TRIALS, seed)
-    prof, rhat_mc = rec.profile, rec.rate.r_hat
+    rhat_mc = rec.rate.r_hat
     # delta method: d r_bar / d p(1) = -R L / (1 + p(1))^2
-    sigma = R * cfg.L * prof.stderr[1] / (1.0 + prof.p_hat[1]) ** 2 / eta.log2_eta
+    sigma = R * cfg.L * rec.stderr[1] / (1.0 + rec.p_hat[1]) ** 2 / eta.log2_eta
     ok_mc = abs(rhat_mc - rhat_cf) <= 3.0 * sigma * tol_scale
     return (
         ok_cf and ok_mc,
@@ -196,7 +196,7 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
         # (a) stop probabilities against the closed form
         for l in (1, 2):
             oracle = simulate.siso_outage_closed_form(eta, 2.0 / l)
-            z = abs(res_s.outage.p_hat[l] - oracle) / res_s.outage.stderr[l]
+            z = abs(res_s.p_hat[l] - oracle) / res_s.stderr[l]
             if z > 3.0 * tol_scale:
                 failures.append(f"{db:g}dB p({l}) off by {z:.1f} sigma")
         # (b) total error within a factor of 3 of the final-block outage

@@ -165,6 +165,31 @@ def test_codes_reports_malformed_codebook_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+_CODES = ["codes", "--L", "2", "--bits", "2", "--eta-db", "20", "--trials", "100", "--seed", "1"]
+
+
+@pytest.mark.parametrize("flag", ["--M", "--N", "--T"])
+def test_codes_has_no_antenna_or_block_length_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(_CODES + [flag, "4", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["M", "N", "T"])
+def test_codes_config_rejects_non_siso_dimensions(tmp_path, capsys, key):
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text(f"M = 1\nN = 1\nT = 1\n{key} = 4\n")
+    out = tmp_path / "out"
+    assert main(_CODES + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"`{key}`" in capsys.readouterr().err
+    assert not out.exists()
+    # the SISO, unit-block-length values are accepted
+    cfg.write_text("M = 1\nN = 1\nT = 1\n")
+    assert main(_CODES + ["--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_codes_identity_baseline(tmp_path):
     assert main([
         "codes", "--L", "2", "--bits", "2", "--identity", "--eta-db", "20",

@@ -26,6 +26,10 @@ CASES = {
     # Hill-climb search: the budget cuts every restart, and every restart stops at a local optimum.
     "codes_hillclimb_L3_b3": ["codes", "--L", "3", "--bits", "3", "--budget", "1600", *_CODES[2:]],
     "codes_hillclimb_L2_b4": ["codes", "--L", "2", "--bits", "4", "--budget", "20000", *_CODES[2:]],
+    # Budgets where the codebook flips if each restart is cut one evaluation early (240)
+    # or late (239), so the fixtures pin where the climb stops a restart.
+    "codes_hillclimb_L3_b3_budget240": ["codes", "--L", "3", "--bits", "3", "--budget", "240", *_CODES[2:]],
+    "codes_hillclimb_L3_b3_budget239": ["codes", "--L", "3", "--bits", "3", "--budget", "239", *_CODES[2:]],
 }
 
 

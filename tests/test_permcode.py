@@ -21,6 +21,7 @@ from rateless_dmt import (
 )
 from rateless_dmt.permcode import (
     Constellation,
+    ErrorDecomposition,
     PermutationCode,
     codebook_text,
     load_codebook,
@@ -80,6 +81,11 @@ def test_code_type_invariants():
         PermutationCode(constellation=c, perms=((0, 1), (0, 0)))
 
 
+def _min_distance(points):
+    """Minimum pairwise distance of a constellation."""
+    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+
+
 def _exhaustive_best_full_prefix(points, L2_perms):
     i, j = np.triu_indices(len(points), k=1)
     d1 = np.abs(points[i] - points[j])
@@ -133,7 +139,7 @@ def test_search_8qam_strictly_improves_on_identity():
 def test_search_single_block_returns_constellation_distance():
     code, per_prefix = search_permutation_code(L=1, bits=3)
     assert code.perms == (tuple(range(8)),)
-    assert per_prefix == (pytest.approx(code.constellation.min_distance),)
+    assert per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
 
 
 def test_search_randomized_mode_is_deterministic():
@@ -236,9 +242,20 @@ def test_trials_stop_probabilities_match_closed_form():
     res = run_rateless_code_trials(code, eta, 200_000, seed=31)
     for l in (1, 2):
         oracle = siso_outage_closed_form(eta, 2.0 / l)
-        assert abs(res.outage.p_hat[l] - oracle) <= 3.0 * res.outage.stderr[l]
+        assert abs(res.p_hat[l] - oracle) <= 3.0 * res.stderr[l]
     assert res.errors.stop_hist.sum() == 200_000
     assert res.errors.p_e == pytest.approx(float(np.sum(res.errors.joint_err)))
+
+
+def test_error_decomposition_derives_estimates_from_counts():
+    # 10 trials: stops 5, 3, then 2 outages; 1 error at block 1 and 2 at block 2
+    err = ErrorDecomposition(err_counts=np.array([1, 2]), stop_hist=np.array([5, 3, 2]))
+    assert err.trials == 10
+    assert err.joint_err.tolist() == [0.1, 0.4]  # outages count as final-block failures
+    assert err.p_e == pytest.approx(0.5)
+    assert err.p_e_stderr == pytest.approx(math.sqrt(0.25 / 10))
+    assert err.cond_err_nonoutage == pytest.approx(3 / 8)
+    assert math.isnan(ErrorDecomposition(np.array([0, 0]), np.array([0, 0, 4])).cond_err_nonoutage)
 
 
 def test_trials_high_snr_concentrates_on_first_block():
@@ -293,7 +310,7 @@ def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
         res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41, stream=i)
         res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41, stream=i)
         # common random numbers: identical fading, noise, and messages
-        assert np.array_equal(res_s.outage.p_hat, res_i.outage.p_hat)
+        assert np.array_equal(res_s.p_hat, res_i.p_hat)
         slack = 3.0 * math.hypot(res_s.errors.p_e_stderr, res_i.errors.p_e_stderr)
         assert res_s.errors.p_e <= res_i.errors.p_e + slack
         assert res_s.errors.p_e < res_i.errors.p_e  # decisive at this sample size
@@ -319,7 +336,7 @@ def test_universality_margin_single_block_degenerates():
     code, _ = search_permutation_code(1, 2)
     etas = [SnrPoint.from_db(d) for d in (10.0, 20.0)]
     ev = universality_margin(code, etas, 50_000, seed=5)
-    assert ev.per_prefix == (pytest.approx(code.constellation.min_distance),)
+    assert ev.per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
     assert set(ev.cells) == {(1, 10.0), (1, 20.0)}
     assert ev.cells[(1, 10.0)] > ev.cells[(1, 20.0)]  # plain uncoded-alphabet error decay
 

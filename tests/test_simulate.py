@@ -25,21 +25,27 @@ from rateless_dmt import (
     siso_outage_neg_log2,
 )
 from rateless_dmt.simulate import (
-    OutageProfile,
+    SnrRecord,
     block_info,
-    profile_and_stops,
     short_counts,
     still_short,
+    stop_histogram,
     write_experiment_csv,
 )
 
 SISO_L2 = RatelessConfig(AntennaConfig(1, 1), L=2)
 
 
+def _linear(x):
+    """SnrPoint from a linear SNR."""
+    return SnrPoint(eta_linear=x, eta_db=10.0 * math.log10(x))
+
+
 def test_snr_point_conversions_and_validation():
     p = SnrPoint.from_db(30.0)
     assert p.eta_linear == pytest.approx(1000.0)
-    q = SnrPoint.from_linear(1000.0)
+    assert p.eta_db == 30.0 and p.log2_eta == pytest.approx(math.log2(1000.0))
+    q = _linear(1000.0)
     assert q.eta_db == pytest.approx(30.0)
     with pytest.raises(ValueError):
         SnrPoint(eta_linear=100.0, eta_db=10.0)
@@ -48,13 +54,13 @@ def test_snr_point_conversions_and_validation():
 
 
 def test_block_mutual_info_scalar_cases():
-    eta3 = SnrPoint.from_linear(3.0)
+    eta3 = _linear(3.0)
     assert block_mutual_info(np.array([[1.0 + 0j]]), eta3) == pytest.approx(2.0)
     assert block_mutual_info(np.array([[0.0 + 0j]]), SnrPoint.from_db(50.0)) == 0.0
 
 
 def test_block_mutual_info_identity_2x2_against_det_oracle():
-    eta2 = SnrPoint.from_linear(2.0)
+    eta2 = _linear(2.0)
     assert block_mutual_info(np.eye(2, dtype=complex), eta2, M=2) == pytest.approx(2.0)
     # independent oracle: explicit 2x2 determinant of I + (eta/2) H H*
     gen = np.random.Generator(np.random.PCG64(5))
@@ -146,12 +152,11 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
 
     # the full kernel, chunked and threaded, lands on the same histogram
     counts = short_counts(cfg, eta, R, trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder)
-    _, stop_hist = profile_and_stops(counts, trials)
-    assert stop_hist.tolist() == ref_hist.tolist()
+    assert stop_histogram(counts, trials).tolist() == ref_hist.tolist()
 
 
 def test_siso_closed_form_values_and_quadrature_oracle():
-    eta10 = SnrPoint.from_linear(10.0)
+    eta10 = _linear(10.0)
     assert siso_outage_closed_form(eta10, 1.0) == pytest.approx(0.0951625819640404, abs=1e-12)
     assert siso_outage_closed_form(eta10, 2.0) == pytest.approx(0.2591817793182821, abs=1e-12)
     assert siso_outage_closed_form(eta10, 0.0) == 0.0
@@ -177,16 +182,16 @@ def test_siso_neg_log2_matches_probability_form_then_stays_finite():
 
 def test_outage_profile_estimates_match_closed_form():
     eta = SnrPoint.from_db(10.0)
-    prof = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101).profile
+    rec = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101)
     oracle = siso_outage_profile(eta, 1.0, 2)
     for l in (1, 2):
-        assert abs(prof.p_hat[l] - oracle[l]) <= 3.0 * prof.stderr[l]
+        assert abs(rec.p_hat[l] - oracle[l]) <= 3.0 * rec.stderr[l]
 
 
 def test_outage_profile_zero_rate_never_fails():
     rec = outage_record(SISO_L2, SnrPoint.from_db(0.0), R=0.0, trials=10_000, seed=1)
-    assert rec.profile.p_hat[0] == 1.0
-    assert np.all(rec.profile.p_hat[1:] == 0.0)
+    assert rec.p_hat[0] == 1.0
+    assert np.all(rec.p_hat[1:] == 0.0)
     assert math.isnan(rec.rate.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
 
 
@@ -195,27 +200,31 @@ def test_outage_profile_monotone_in_l_and_eta():
     seed = 77
     prev = None
     for db in (0.0, 5.0, 10.0):
-        prof = outage_record(cfg, SnrPoint.from_db(db), R=2.0, trials=20_000, seed=seed).profile
-        assert np.all(np.diff(prof.p_hat) <= 0)
+        rec = outage_record(cfg, SnrPoint.from_db(db), R=2.0, trials=20_000, seed=seed)
+        assert np.all(np.diff(rec.p_hat) <= 0)
         if prev is not None:
             # same seed and stream: common fading draws couple the comparison
-            assert np.all(prof.p_hat <= prev.p_hat)
-        prev = prof
+            assert np.all(rec.p_hat <= prev.p_hat)
+        prev = rec
 
 
 def test_outage_profile_deterministic_across_workers():
     eta = SnrPoint.from_db(12.0)
     a = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=1)
     b = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=4, chunk=999)
-    assert np.array_equal(a.profile.p_hat, b.profile.p_hat)
+    assert np.array_equal(a.p_hat, b.p_hat)
     assert np.array_equal(a.stop_hist, b.stop_hist)
 
 
 def test_outage_profile_type_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        OutageProfile(p_hat=np.array([0.9, 0.5]), stderr=np.zeros(2), trials=10)
-    with pytest.raises(ValueError):
-        OutageProfile(p_hat=np.array([1.0, 0.5, 0.6]), stderr=np.zeros(3), trials=10)
+    eta = SnrPoint.from_db(10.0)
+    rec = SnrRecord(eta, 1.0, np.array([5, 3, 2]))
+    assert rec.trials == 10 and rec.L == 2
+    assert rec.p_hat.tolist() == [1.0, 0.5, 0.2]
+    # a negative count is the only way to p(0) != 1 or an increasing p
+    for bad in (np.array([-1, 5, 6]), np.array([5, -1, 6]), np.array([0, 0, 0]), np.ones((2, 2), int)):
+        with pytest.raises(ValueError):
+            SnrRecord(eta, 1.0, bad)
 
 
 def test_effective_rate_examples():
@@ -242,7 +251,7 @@ def _slope(pts):
 
 
 def test_diversity_slope_exact_power_law():
-    pts = [(SnrPoint.from_linear(10.0**k), 10.0 ** (-2 * k)) for k in (2, 3, 4)]
+    pts = [(_linear(10.0**k), 10.0 ** (-2 * k)) for k in (2, 3, 4)]
     est = _slope(pts)
     assert est.slope == pytest.approx(2.0, abs=1e-9)
     assert est.secant == pytest.approx(2.0, abs=1e-9)
@@ -278,8 +287,8 @@ def test_experiment_single_block_reduces_to_plain_outage():
     etas = [SnrPoint.from_db(10.0)]
     (rec,) = run_rateless_experiment(cfg, 0.25, etas, trials=200_000, seed=5)
     oracle = siso_outage_closed_form(etas[0], rec.R)
-    assert abs(rec.profile.p_hat[1] - oracle) <= 3.0 * rec.profile.stderr[1]
-    assert rec.stop_hist.sum() == rec.profile.trials
+    assert abs(rec.p_hat[1] - oracle) <= 3.0 * rec.stderr[1]
+    assert rec.stop_hist.sum() == rec.trials
 
 
 def test_experiment_effective_gain_doubles_at_low_gain():
@@ -300,7 +309,7 @@ def test_experiment_saturated_gain_trend():
     assert np.all(np.diff(np.abs(np.array(r_hats) - 1.5)) <= 0)
     assert r_hats[-1] == pytest.approx(1.5, rel=1e-6)
     (rec,) = run_rateless_experiment(SISO_L2, 1.5, [SnrPoint.from_db(40.0)], 50_000, seed=2)
-    assert rec.profile.p_hat[1] > 0.999  # first level undecodable at high SNR
+    assert rec.p_hat[1] > 0.999  # first level undecodable at high SNR
 
 
 def test_experiment_records_and_csv_are_deterministic():

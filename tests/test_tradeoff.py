@@ -13,15 +13,15 @@ from rateless_dmt import (
     GainPoint,
     RatelessConfig,
     default_r_n_grid,
-    parallel_dmt_curve,
+    dmt_curves,
     parallel_identical_dmt,
     parallel_iid_dmt,
-    rateless_dmt_curve,
     rateless_dmt_point,
     rateless_segment,
     tradeoff_f,
     write_curves_csv,
 )
+from rateless_dmt.tradeoff import SCHEMES
 
 antenna_configs = st.builds(
     AntennaConfig, M=st.integers(min_value=1, max_value=6), N=st.integers(min_value=1, max_value=6)
@@ -111,7 +111,8 @@ def test_tail_reporting_clamps_to_min_antennas():
     cfg = RatelessConfig(AntennaConfig(3, 3), L=4)
     for r_n in (3, F(7, 2), 100):
         pt = rateless_dmt_point(cfg, r_n)
-        assert pt.r == 3 and pt.d == 0 and pt.clamped
+        assert rateless_segment(cfg, r_n) is None
+        assert pt.r == 3 == cfg.min_antennas and pt.d == 0
 
 
 @given(rateless_configs, gains)
@@ -120,7 +121,7 @@ def test_segment_diversity_identity(cfg, r_n):
     pt = rateless_dmt_point(cfg, r_n)
     if rateless_segment(cfg, r_n) is not None:
         assert pt.d == tradeoff_f(cfg.antennas, r_n)
-        assert not pt.clamped
+        assert pt.r < cfg.min_antennas  # only the tail is pinned to min(M, N)
 
 
 @given(rateless_configs)
@@ -169,7 +170,7 @@ def test_parallel_iid_is_L_times_identical(cfg, r_n):
 
 def test_curve_small_grid_values():
     cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
-    rateless, conventional = rateless_dmt_curve(cfg, [0, F(1, 2), F(999, 1000)])
+    rateless, conventional, _, _ = dmt_curves(cfg, [0, F(1, 2), F(999, 1000)])
     assert [(p.r, p.d) for p in rateless.points] == [
         (0, 4),
         (1, F(5, 2)),
@@ -182,7 +183,7 @@ def test_curve_small_grid_values():
 def test_curve_four_segments_sweep_toward_min():
     cfg = RatelessConfig(AntennaConfig(3, 3), L=4)
     grid = default_r_n_grid(cfg, points_per_segment=64)
-    rateless, _ = rateless_dmt_curve(cfg, grid)
+    rateless = dmt_curves(cfg, grid)[0]
     by_segment = {}
     for seg, pt in zip(rateless.segment_index, rateless.points):
         if seg > 0:
@@ -197,17 +198,29 @@ def test_curve_four_segments_sweep_toward_min():
 def test_degenerate_single_block_curve_matches_conventional():
     cfg = RatelessConfig(AntennaConfig(2, 3), L=1)
     grid = default_r_n_grid(cfg, points_per_segment=32)
-    rateless, conventional = rateless_dmt_curve(cfg, grid)
+    rateless, conventional, _, _ = dmt_curves(cfg, grid)
     for a, b in zip(rateless.points, conventional.points):
         assert (a.r, a.d) == (b.r, b.d)
+
+
+def test_dmt_curves_cover_all_schemes_in_order():
+    cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
+    grid = [0, F(1, 2), 2]
+    curves = dmt_curves(cfg, grid)
+    assert tuple(c.scheme for c in curves) == SCHEMES
+    rateless, conventional, identical, iid = curves
+    assert rateless.segment_index == (1, 1, 0)
+    assert conventional.segment_index == identical.segment_index == iid.segment_index == (0, 0, 0)
+    assert [(p.r, p.d) for p in identical.points] == [(0, 4), (1, F(5, 2)), (4, 0)]
+    assert [(p.r, p.d) for p in iid.points] == [(0, 8), (1, 5), (4, 0)]
 
 
 def test_curve_rejects_unsorted_grid():
     cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
     with pytest.raises(ValueError):
-        rateless_dmt_curve(cfg, [F(1, 2), F(1, 2)])
+        dmt_curves(cfg, [F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):
-        rateless_dmt_curve(cfg, [F(1, 2), F(1, 4)])
+        dmt_curves(cfg, [F(1, 2), F(1, 4)])
 
 
 def test_default_grid_contains_segment_boundaries():
@@ -239,8 +252,7 @@ def test_curve_type_rejects_bad_shapes():
 def test_csv_export_format_and_exact_columns():
     cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
     grid = [0, F(1, 3), F(1, 2)]
-    rateless, conventional = rateless_dmt_curve(cfg, grid)
-    par = parallel_dmt_curve(cfg, grid, iid=True)
+    rateless, conventional, _, par = dmt_curves(cfg, grid)
     buf = io.StringIO()
     write_curves_csv(buf, [rateless, conventional, par], exact=True, metadata={"M": 2})
     lines = buf.getvalue().splitlines()
