@@ -11,7 +11,6 @@ import argparse
 from pathlib import Path
 
 from rateless_dmt import (
-    AntennaConfig,
     RatelessConfig,
     default_r_n_grid,
     dmt_curves,
@@ -35,8 +34,8 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit(RatelessConfig(AntennaConfig(2, 2), L=2), out / "dmt_2x2_L2.csv", args.per_segment)
-    emit(RatelessConfig(AntennaConfig(3, 3), L=4), out / "dmt_3x3_L4.csv", args.per_segment)
+    emit(RatelessConfig(2, 2, L=2), out / "dmt_2x2_L2.csv", args.per_segment)
+    emit(RatelessConfig(3, 3, L=4), out / "dmt_3x3_L4.csv", args.per_segment)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import math
 from pathlib import Path
 
 from rateless_dmt import (
-    AntennaConfig,
     RatelessConfig,
     SnrPoint,
     diversity_slope,
@@ -35,7 +34,7 @@ def main(argv=None) -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=args.L)
+    cfg = RatelessConfig(1, 1, args.L)
     etas = [SnrPoint.from_db(float(d)) for d in args.eta_db.split(",")]
 
     for r_n_raw in args.r_n.split(","):
@@ -56,7 +55,7 @@ def main(argv=None) -> None:
             est = diversity_slope(
                 [rec.eta for rec in usable], [-math.log2(rec.p_hat[l]) for rec in usable]
             )
-            limit = float(tradeoff_f(cfg.antennas, min(1, args.L * r_n / l)))
+            limit = float(tradeoff_f(1, 1, min(1, args.L * r_n / l)))
             print(
                 f"  p({l}): fitted slope {est.slope:.3f} (secant {est.secant:.3f}), "
                 f"analytic limit {limit:.3f}"

@@ -6,7 +6,7 @@ sequential ML prefix decoding, and a CLI that reproduces the curves and
 runs the verification suite.
 """
 
-from .configs import AntennaConfig, RatelessConfig
+from .configs import RatelessConfig
 from .permcode import (
     Constellation,
     ErrorDecomposition,

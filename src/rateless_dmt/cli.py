@@ -1,11 +1,12 @@
 """Command-line front end: curve generation, simulation, codes, verification.
 
-Subcommands: `dmt`, `simulate`, `codes`, `verify`. Options may come from
-a flat key=value config file (`--config`); command-line flags override
-file values. Every emitted file embeds the effective configuration as
-`#` comment lines, so outputs are reproducible byte-for-byte from
-(config, seed, tool version). Exit codes: 0 success, 1 verification
-failure, 2 usage or validation error.
+Subcommands: `dmt`, `simulate`, `codes`, `verify`, each with only the
+flags it reads. Options may come from a flat key=value config file
+(`--config`); every key may appear in any file, and command-line flags
+override file values. Every emitted file embeds the effective
+configuration as `#` comment lines, so outputs are reproducible
+byte-for-byte from (config, seed, tool version). Exit codes: 0 success,
+1 verification failure, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -14,77 +15,18 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
 from . import __version__, permcode, simulate, tradeoff, verify
-from .configs import AntennaConfig, RatelessConfig
+from .configs import RatelessConfig
 from .simulate import SnrPoint
-
-CONFIG_KEYS = (
-    "M",
-    "N",
-    "L",
-    "T",
-    "r_n",
-    "eta_db_list",
-    "trials",
-    "seed",
-    "bits",
-    "budget",
-)
 
 
 class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config `{path}`: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key `{key}`")
-        cfg[key] = value
-    return cfg
-
-
-def _gather(args: argparse.Namespace) -> dict[str, str]:
-    """Merge config file values with flag overrides."""
-    cfg = parse_config_file(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = str(flag)
-    return cfg
-
-
-def _require(cfg: dict[str, str], key: str, parse, check=None, describe=""):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key `{key}`")
-    return _optional(cfg, key, parse, default=None, check=check, describe=describe)
-
-
-def _optional(cfg: dict[str, str], key: str, parse, default, check=None, describe=""):
-    if key not in cfg:
-        return default
-    try:
-        value = parse(cfg[key])
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"invalid value for `{key}`: {cfg[key]!r}") from None
-    if check is not None and not check(value):
-        hint = f" ({describe})" if describe else ""
-        raise ConfigError(f"value for `{key}` out of range{hint}: {cfg[key]!r}")
-    return value
 
 
 def _parse_eta_list(raw: str) -> list[float]:
@@ -110,6 +52,99 @@ def _nonnegative(x) -> bool:
     return x >= 0
 
 
+@dataclass(frozen=True)
+class _Key:
+    """A config key: its command-line flag, the parser of its text and its range check."""
+
+    flag: str
+    help: str
+    parse: Callable[[str], object]
+    check: Optional[Callable[[object], bool]] = None
+    describe: str = ""
+
+
+CONFIG_KEYS = {
+    "M": _Key("--M", "transmit antennas", int, _positive, ">= 1"),
+    "N": _Key("--N", "receive antennas", int, _positive, ">= 1"),
+    "L": _Key("--L", "blocks per codeword", int, _positive, ">= 1"),
+    "r_n": _Key("--r-n", "per-level multiplexing gain", Fraction, _nonnegative, ">= 0"),
+    "eta_db_list": _Key("--eta-db", "comma-separated SNR list in dB", _parse_eta_list),
+    "trials": _Key("--trials", "Monte Carlo trials per point", int, _positive, ">= 1"),
+    "seed": _Key("--seed", "RNG seed", int, _nonnegative, ">= 0"),
+    "bits": _Key(
+        "--bits", "codebook size exponent", int,
+        lambda b: 1 <= b <= permcode.MAX_BITS, f"in 1..{permcode.MAX_BITS}",
+    ),
+    "budget": _Key("--budget", "search evaluation budget", int, _positive, ">= 1"),
+}
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    cfg: dict[str, str] = {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config `{path}`: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key `{key}`")
+        cfg[key] = value
+    return cfg
+
+
+def _gather(args: argparse.Namespace) -> dict[str, str]:
+    """Merge config file values with flag overrides, as unparsed text."""
+    given = vars(args)
+    cfg = parse_config_file(given["config"]) if given.get("config") else {}
+    for key in CONFIG_KEYS:
+        if given.get(key) is not None:
+            cfg[key] = given[key]
+    return cfg
+
+
+def _value(cfg: dict[str, str], key: str):
+    spec = CONFIG_KEYS[key]
+    try:
+        value = spec.parse(cfg[key])
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"invalid value for `{key}`: {cfg[key]!r}") from None
+    if spec.check is not None and not spec.check(value):
+        raise ConfigError(f"value for `{key}` out of range ({spec.describe}): {cfg[key]!r}")
+    return value
+
+
+def _require(cfg: dict[str, str], key: str):
+    if key not in cfg:
+        raise ConfigError(f"missing required config key `{key}`")
+    return _value(cfg, key)
+
+
+def _optional(cfg: dict[str, str], key: str, default):
+    return _value(cfg, key) if key in cfg else default
+
+
+def _pinned(cfg: dict[str, str], key: str, value, why: str) -> None:
+    """Reject a given `key` whose value differs from the one the run is fixed to."""
+    if key in cfg and _value(cfg, key) != value:
+        raise ConfigError(f"value for `{key}` out of range (must be {value}, {why}): {cfg[key]!r}")
+
+
+def _link(cfg: dict[str, str]) -> RatelessConfig:
+    return RatelessConfig(*(_require(cfg, key) for key in ("M", "N", "L")))
+
+
+def _workers(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"value for `workers` out of range (>= 1): {args.workers}")
+    return args.workers
+
+
 def _open_out(out_dir: str, name: str):
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -123,19 +158,14 @@ def _metadata(mode: str, pairs: dict) -> dict:
 
 
 def cmd_dmt(args: argparse.Namespace) -> int:
-    cfg_raw = _gather(args)
-    M = _require(cfg_raw, "M", int, _positive, ">= 1")
-    N = _require(cfg_raw, "N", int, _positive, ">= 1")
-    L = _require(cfg_raw, "L", int, _positive, ">= 1")
-    T = _optional(cfg_raw, "T", int, 1, _positive, ">= 1")
+    cfg = _link(_gather(args))
     if args.per_segment < 1:
         raise ConfigError(f"value for `per-segment` out of range: {args.per_segment}")
-    cfg = RatelessConfig(AntennaConfig(M, N), L=L, T=T)
     start = time.perf_counter()
     grid = tradeoff.default_r_n_grid(cfg, args.per_segment)
     curves = tradeoff.dmt_curves(cfg, grid)
     path = _open_out(args.out, "dmt_curves.csv")
-    meta = _metadata("dmt", {"M": M, "N": N, "L": L, "T": T, "per_segment": args.per_segment})
+    meta = _metadata("dmt", {"M": cfg.M, "N": cfg.N, "L": cfg.L, "per_segment": args.per_segment})
     with open(path, "w", newline="") as f:
         tradeoff.write_curves_csv(f, curves, exact=args.exact, metadata=meta)
     print(f"wrote {path} ({len(grid)} grid points x 4 schemes) in {time.perf_counter() - start:.2f}s")
@@ -143,36 +173,30 @@ def cmd_dmt(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    workers = _workers(args)
     cfg_raw = _gather(args)
-    M = _require(cfg_raw, "M", int, _positive, ">= 1")
-    N = _require(cfg_raw, "N", int, _positive, ">= 1")
-    L = _require(cfg_raw, "L", int, _positive, ">= 1")
-    T = _optional(cfg_raw, "T", int, 1, _positive, ">= 1")
-    r_n = _require(cfg_raw, "r_n", Fraction, _nonnegative, ">= 0")
-    eta_db = _require(cfg_raw, "eta_db_list", _parse_eta_list)
-    trials = _require(cfg_raw, "trials", int, _positive, ">= 1")
-    seed = _require(cfg_raw, "seed", int, _nonnegative, ">= 0")
-    cfg = RatelessConfig(AntennaConfig(M, N), L=L, T=T)
-    if r_n * L >= cfg.min_antennas:
+    cfg = _link(cfg_raw)
+    r_n = _require(cfg_raw, "r_n")
+    eta_db = _require(cfg_raw, "eta_db_list")
+    trials = _require(cfg_raw, "trials")
+    seed = _require(cfg_raw, "seed")
+    if r_n * cfg.L >= cfg.min_antennas:
         print(
-            f"note: r_n={r_n} is at or past min(M,N)/L={Fraction(cfg.min_antennas, L)}; "
+            f"note: r_n={r_n} is at or past min(M,N)/L={Fraction(cfg.min_antennas, cfg.L)}; "
             f"the first rate level cannot decode at high SNR, so the effective gain "
             f"collapses to later segments (prefer L < min(M,N)/r_n)",
             file=sys.stderr,
         )
     start = time.perf_counter()
     etas = [SnrPoint.from_db(db) for db in eta_db]
-    records = simulate.run_rateless_experiment(
-        cfg, float(r_n), etas, trials, seed, workers=args.workers
-    )
+    records = simulate.run_rateless_experiment(cfg, float(r_n), etas, trials, seed, workers=workers)
     path = _open_out(args.out, "simulate_results.csv")
     meta = _metadata(
         "simulate",
         {
-            "M": M,
-            "N": N,
-            "L": L,
-            "T": T,
+            "M": cfg.M,
+            "N": cfg.N,
+            "L": cfg.L,
             "r_n": r_n,
             "eta_db_list": ",".join(tradeoff.format_sig12(d) for d in eta_db),
             "trials": trials,
@@ -186,15 +210,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_codes(args: argparse.Namespace) -> int:
+    workers = _workers(args)
     cfg_raw = _gather(args)
-    for key in ("M", "N", "T"):
-        _optional(cfg_raw, key, int, 1, lambda v: v == 1, "codes are SISO with unit block length")
-    eta_db = _require(cfg_raw, "eta_db_list", _parse_eta_list)
-    trials = _require(cfg_raw, "trials", int, _positive, ">= 1")
-    seed = _require(cfg_raw, "seed", int, _nonnegative, ">= 0")
-    budget = _optional(
-        cfg_raw, "budget", int, permcode.DEFAULT_SEARCH_BUDGET, _positive, ">= 1"
-    )
+    for key in ("M", "N"):
+        _pinned(cfg_raw, key, 1, "codes are SISO")
+    eta_db = _require(cfg_raw, "eta_db_list")
+    trials = _require(cfg_raw, "trials")
+    seed = _require(cfg_raw, "seed")
+    if "budget" in cfg_raw and (args.codebook or args.identity):
+        raise ConfigError("`budget` sets the code search, which --codebook and --identity skip")
+    budget = _optional(cfg_raw, "budget", permcode.DEFAULT_SEARCH_BUDGET)
     start = time.perf_counter()
     if args.codebook:
         try:
@@ -203,13 +228,11 @@ def cmd_codes(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read codebook `{args.codebook}`: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"codebook `{args.codebook}`: {exc}") from None
-        L, bits = code.L, code.bits
+        for key in ("L", "bits"):
+            _pinned(cfg_raw, key, getattr(code, key), "as in the codebook")
     else:
-        L = _require(cfg_raw, "L", int, _positive, ">= 1")
-        bits = _require(
-            cfg_raw, "bits", int, lambda b: 1 <= b <= permcode.MAX_BITS,
-            f"in 1..{permcode.MAX_BITS}",
-        )
+        L = _require(cfg_raw, "L")
+        bits = _require(cfg_raw, "bits")
         if args.identity:
             code = permcode.identity_code(L, bits)
         else:
@@ -221,7 +244,7 @@ def cmd_codes(args: argparse.Namespace) -> int:
 
     etas = [SnrPoint.from_db(db) for db in eta_db]
     results = [
-        permcode.run_rateless_code_trials(code, eta, trials, seed, stream=i, workers=args.workers)
+        permcode.run_rateless_code_trials(code, eta, trials, seed, stream=i, workers=workers)
         for i, eta in enumerate(etas)
     ]
     book_path = _open_out(args.out, "codebook.txt")
@@ -230,8 +253,8 @@ def cmd_codes(args: argparse.Namespace) -> int:
     meta = _metadata(
         "codes",
         {
-            "L": L,
-            "bits": bits,
+            "L": code.L,
+            "bits": code.bits,
             "R": tradeoff.format_sig12(code.bits / code.L),
             "eta_db_list": ",".join(tradeoff.format_sig12(d) for d in eta_db),
             "trials": trials,
@@ -246,14 +269,30 @@ def cmd_codes(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else verify.DEFAULT_SEED
-    if seed < 0:
-        raise ConfigError(f"value for `seed` out of range (>= 0): {seed}")
+    seed = _optional(_gather(args), "seed", verify.DEFAULT_SEED)
     if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
         raise ConfigError(f"value for `tol-scale` out of range (finite, > 0): {args.tol_scale}")
     results = verify.run_all(seed=seed, tol_scale=args.tol_scale)
     print(verify.format_report(results))
     return 0 if all(r.passed for r in results) else 1
+
+
+# flags that are not config keys
+_FLAGS = {
+    "config": dict(help="flat key=value config file"),
+    "out": dict(default=".", help="output directory (default: .)"),
+    "workers": dict(type=int, default=1, help="worker threads (default 1)"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the flags of the named config keys and `_FLAGS` entries."""
+    for name in names:
+        if name in CONFIG_KEYS:
+            spec = CONFIG_KEYS[name]
+            parser.add_argument(spec.flag, dest=name, help=spec.help)
+        else:
+            parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,26 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         "over MIMO block-fading channels.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed")
-    common.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
-    common.add_argument(
-        "--eta-db", dest="eta_db_list", default=None, help="comma-separated SNR list in dB"
-    )
-    common.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
-
-    dims = argparse.ArgumentParser(add_help=False)
-    dims.add_argument("--M", type=int, default=None, help="transmit antennas")
-    dims.add_argument("--N", type=int, default=None, help="receive antennas")
-    dims.add_argument("--L", type=int, default=None, help="blocks per codeword")
-    dims.add_argument("--T", type=int, default=None, help="channel uses per block")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_dmt = sub.add_parser("dmt", parents=[common, dims], help="write analytic tradeoff curves")
+    p_dmt = sub.add_parser("dmt", help="write analytic tradeoff curves")
+    _add_flags(p_dmt, "config", "out", "M", "N", "L")
     p_dmt.add_argument(
         "--per-segment",
         type=int,
@@ -292,25 +315,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_dmt.add_argument("--exact", action="store_true", help="append exact p/q columns")
     p_dmt.set_defaults(func=cmd_dmt)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common, dims], help="Monte Carlo outage and rate estimation"
+    p_sim = sub.add_parser("simulate", help="Monte Carlo outage and rate estimation")
+    _add_flags(
+        p_sim, "config", "out", "workers", "M", "N", "L", "r_n", "eta_db_list", "trials", "seed"
     )
-    p_sim.add_argument("--r-n", dest="r_n", default=None, help="per-level multiplexing gain")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_codes = sub.add_parser(
-        "codes", parents=[common], help="build a SISO permutation codebook and measure errors"
+    p_codes = sub.add_parser("codes", help="build a SISO permutation codebook and measure errors")
+    _add_flags(
+        p_codes, "config", "out", "workers", "L", "bits", "budget", "eta_db_list", "trials", "seed"
     )
-    p_codes.add_argument("--L", type=int, default=None, help="blocks per codeword")
-    p_codes.add_argument("--bits", type=int, default=None, help="codebook size exponent")
-    p_codes.add_argument("--budget", type=int, default=None, help="search evaluation budget")
-    p_codes.add_argument("--codebook", default=None, help="load this codebook instead of searching")
-    p_codes.add_argument(
+    source = p_codes.add_mutually_exclusive_group()
+    source.add_argument("--codebook", default=None, help="load this codebook instead of searching")
+    source.add_argument(
         "--identity", action="store_true", help="use the repetition baseline, skip the search"
     )
     p_codes.set_defaults(func=cmd_codes)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p_verify = sub.add_parser("verify", help="run the verification suite")
+    _add_flags(p_verify, "seed")
     p_verify.add_argument(
         "--tol-scale",
         type=float,
@@ -326,8 +349,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"value for `workers` out of range (>= 1): {args.workers}")
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

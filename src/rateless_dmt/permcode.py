@@ -4,9 +4,9 @@ A codebook maps each of 2^bits messages to one constellation point per
 block; block 1 uses the points verbatim and every other block applies a
 permutation. Decoding works on whatever prefix of blocks the stopping
 rule releases, so permutations are scored by the minimum pairwise
-product distance of every prefix, longest prefix first. Unit block
-length throughout (T = 1), so a code of `bits` bits runs at R = bits / L
-bits per channel use.
+product distance of every prefix, longest prefix first. Each block is
+one channel use, so a code of `bits` bits runs at R = bits / L bits per
+channel use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import IO, Mapping, Optional, Sequence
 import numpy as np
 
 from . import rng, simulate
-from .configs import AntennaConfig, RatelessConfig
+from .configs import RatelessConfig
 from .simulate import SnrPoint, SnrRecord, binomial_stderr
 from .tradeoff import format_sig12, write_csv_header
 
@@ -131,18 +131,17 @@ def prefix_min_products(code: PermutationCode) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class UniversalityEvidence:
-    """Geometry and decay evidence for prefix decodability.
+    """Decay evidence for prefix decodability.
 
-    per_prefix holds the minimum product distance of each prefix;
-    worst_subset points at the weakest prefix. decay_estimate is the
-    fitted exponent of ln(-ln p) against ln(eta) for the conditional
-    non-outage error (NaN when no prefix has two estimable cells),
-    reported as evidence only, never asserted against a target.
+    cells maps (l, eta_db) to the conditional error given a stop at
+    block l, or None where too few trials stopped there. prefix_decay
+    holds, per prefix, the fitted exponent of ln(-ln p) against ln(eta);
+    decay_estimate is the smallest of them (NaN when no prefix has two
+    estimable cells). Reported as evidence only, never asserted against
+    a target.
     """
 
-    worst_subset: int
     decay_estimate: float
-    per_prefix: tuple[float, ...]
     prefix_decay: tuple[float, ...]
     cells: Mapping[tuple[int, float], Optional[float]]
 
@@ -351,7 +350,7 @@ def run_rateless_code_trials(
     """
     L = code.L
     R = code.bits / L
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=L)
+    cfg = RatelessConfig(1, 1, L)
     # bound the per-chunk distance matrix to ~32 MB for large codebooks
     chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
     counts = simulate.short_counts(
@@ -364,54 +363,41 @@ def run_rateless_code_trials(
 
 
 def universality_margin(
-    code: PermutationCode,
-    eta_grid: Sequence[SnrPoint],
-    trials: int,
-    seed: int,
-    *,
-    min_count: int = 100,
-    workers: int = 1,
-    chunk: int = rng.DEFAULT_CHUNK,
+    results: Sequence[CodeTrialResult], min_count: int = 100
 ) -> UniversalityEvidence:
-    """Measure conditional non-outage error decay across an SNR grid.
+    """Conditional non-outage error decay across the SNRs of one code's trial results.
 
     For every prefix length l, estimates Pr(error | stop at l) at each
-    SNR; cells with fewer than min_count stopping trials are left
+    result's SNR; cells with fewer than min_count stopping trials are left
     unestimable (None). Each prefix with at least two estimable cells in
-    (0, 1) gets a fitted exponent of ln(-ln p) against ln(eta);
-    decay_estimate is the smallest such exponent. No target value is
-    asserted: the evidence is reported as-is.
+    (0, 1) gets the slope of log(-log p) against log(eta) from
+    :func:`simulate.diversity_slope`. No target value is asserted: the
+    evidence is reported as-is.
     """
-    if not eta_grid:
-        raise ValueError("eta_grid must be nonempty")
-    L = code.L
-    per_prefix = prefix_min_products(code)
+    if not results:
+        raise ValueError("results must be nonempty")
+    if len({res.eta.eta_db for res in results}) != len(results):
+        raise ValueError("results must be at distinct SNRs")  # cells are keyed by SNR
+    L = results[0].L
     cells: dict[tuple[int, float], Optional[float]] = {}
-    for idx, eta in enumerate(eta_grid):
-        res = run_rateless_code_trials(code, eta, trials, seed, stream=idx, workers=workers, chunk=chunk)
+    for res in results:
         for l in range(1, L + 1):
             stopped = int(res.stop_hist[l - 1])
-            cells[(l, eta.eta_db)] = res.err_counts[l - 1] / stopped if stopped >= min_count else None
+            cells[(l, res.eta.eta_db)] = res.err_counts[l - 1] / stopped if stopped >= min_count else None
 
     prefix_decay = []
     for l in range(1, L + 1):
-        pts = [
-            (math.log(eta.eta_linear), math.log(-math.log(p)))
-            for eta in eta_grid
-            for p in [cells[(l, eta.eta_db)]]
-            if p is not None and 0.0 < p < 1.0
-        ]
-        if len(pts) >= 2:
-            x = np.array([p[0] for p in pts])
-            y = np.array([p[1] for p in pts])
-            prefix_decay.append(float(np.polyfit(x, y, 1)[0]))
-        else:
-            prefix_decay.append(math.nan)
+        # diversity_slope fits against log2(eta), so log2(-ln p) gives the exponent of -ln p
+        etas, ys = [], []
+        for res in results:
+            p = cells[(l, res.eta.eta_db)]
+            if p is not None and 0.0 < p < 1.0:
+                etas.append(res.eta)
+                ys.append(math.log2(-math.log(p)))
+        prefix_decay.append(simulate.diversity_slope(etas, ys).slope if len(etas) >= 2 else math.nan)
     finite = [d for d in prefix_decay if not math.isnan(d)]
     return UniversalityEvidence(
-        worst_subset=int(np.argmin(per_prefix)) + 1,
         decay_estimate=min(finite) if finite else math.nan,
-        per_prefix=per_prefix,
         prefix_decay=tuple(prefix_decay),
         cells=cells,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
-from .configs import AntennaConfig, RatelessConfig
+from .configs import RatelessConfig
 
 SCHEMES = ("rateless", "conventional", "parallel_identical", "parallel_iid")
 
@@ -57,20 +57,19 @@ class DmtCurve:
                 raise ValueError("r_n grid must be strictly increasing")
 
 
-def tradeoff_f(cfg: AntennaConfig, k) -> Fraction:
-    """Piecewise-linear diversity function through (k, (M-k)(N-k)).
+def tradeoff_f(M: int, N: int, k) -> Fraction:
+    """Piecewise-linear diversity function of an M x N link through (k, (M-k)(N-k)).
 
     Exact for any rational k >= 0; clamps to 0 beyond min(M, N).
     """
     k = Fraction(k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    m = cfg.min_antennas
-    if k >= m:
+    if k >= min(M, N):
         return Fraction(0)
     i = int(k)  # floor, k is nonnegative
-    corner = Fraction((cfg.M - i) * (cfg.N - i))
-    slope = 2 * i + 1 - cfg.M - cfg.N
+    corner = Fraction((M - i) * (N - i))
+    slope = 2 * i + 1 - M - N
     return corner + (k - i) * slope
 
 
@@ -101,7 +100,7 @@ def rateless_dmt_point(cfg: RatelessConfig, r_n) -> GainPoint:
     if seg is None:
         return GainPoint(r=Fraction(cfg.min_antennas), d=Fraction(0))
     r = r_n * cfg.L / seg
-    return GainPoint(r=r, d=tradeoff_f(cfg.antennas, seg * r / cfg.L))
+    return GainPoint(r=r, d=tradeoff_f(cfg.M, cfg.N, seg * r / cfg.L))
 
 
 def parallel_identical_dmt(cfg: RatelessConfig, r) -> Fraction:
@@ -109,7 +108,7 @@ def parallel_identical_dmt(cfg: RatelessConfig, r) -> Fraction:
     r = Fraction(r)
     if not 0 <= r <= cfg.L * cfg.min_antennas:
         raise ValueError(f"r must lie in [0, {cfg.L * cfg.min_antennas}], got {r}")
-    return tradeoff_f(cfg.antennas, r / cfg.L)
+    return tradeoff_f(cfg.M, cfg.N, r / cfg.L)
 
 
 def parallel_iid_dmt(cfg: RatelessConfig, r) -> Fraction:
@@ -117,7 +116,7 @@ def parallel_iid_dmt(cfg: RatelessConfig, r) -> Fraction:
     r = Fraction(r)
     if not 0 <= r <= cfg.L * cfg.min_antennas:
         raise ValueError(f"r must lie in [0, {cfg.L * cfg.min_antennas}], got {r}")
-    return cfg.L * tradeoff_f(cfg.antennas, r / cfg.L)
+    return cfg.L * tradeoff_f(cfg.M, cfg.N, r / cfg.L)
 
 
 def default_r_n_grid(
@@ -153,7 +152,7 @@ def dmt_curves(cfg: RatelessConfig, r_n_grid: Sequence) -> tuple[DmtCurve, ...]:
     L = cfg.L
     columns = (
         [rateless_dmt_point(cfg, r_n) for r_n in grid],
-        [GainPoint(r=r_n, d=tradeoff_f(cfg.antennas, r_n)) for r_n in grid],
+        [GainPoint(r=r_n, d=tradeoff_f(cfg.M, cfg.N, r_n)) for r_n in grid],
         [GainPoint(r=L * r_n, d=parallel_identical_dmt(cfg, L * r_n)) for r_n in grid],
         [GainPoint(r=L * r_n, d=parallel_iid_dmt(cfg, L * r_n)) for r_n in grid],
     )

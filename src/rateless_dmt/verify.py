@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import permcode, rng, simulate, tradeoff
-from .configs import AntennaConfig, RatelessConfig
+from .configs import RatelessConfig
 from .simulate import SnrPoint
 
 DEFAULT_SEED = 1009
@@ -46,14 +46,13 @@ def _interval(lo: float, hi: float, tol_scale: float) -> tuple[float, float]:
 
 def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
     """M=N=2, L=2: first-segment identity r = 2 r_n, d = f(r_n), exact."""
-    ants = AntennaConfig(2, 2)
-    cfg = RatelessConfig(ants, L=2)
+    cfg = RatelessConfig(2, 2, L=2)
     grid = tradeoff.default_r_n_grid(cfg)
     rateless, conventional = tradeoff.dmt_curves(cfg, grid)[:2]
     checked = 0
     for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
         if r_n < 1:
-            if seg != 1 or pt.r != 2 * r_n or pt.d != tradeoff.tradeoff_f(ants, r_n):
+            if seg != 1 or pt.r != 2 * r_n or pt.d != tradeoff.tradeoff_f(2, 2, r_n):
                 return False, f"mismatch at r_n={r_n}: {pt}"
             checked += 1
     conv = {r_n: pt.d for r_n, pt in zip(conventional.r_n_grid, conventional.points)}
@@ -69,8 +68,7 @@ def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
 
 def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
     """M=N=3, L=4: four segments breaking at r_n = 0.75, 1.5, 2.25; d(3) = 0."""
-    ants = AntennaConfig(3, 3)
-    cfg = RatelessConfig(ants, L=4)
+    cfg = RatelessConfig(3, 3, L=4)
     grid = tradeoff.default_r_n_grid(cfg)
     rateless = tradeoff.dmt_curves(cfg, grid)[0]
     segs = set(rateless.segment_index)
@@ -83,7 +81,7 @@ def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
             return False, f"wrong break behavior at r_n={b}"
     for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
         if seg > 0:
-            if pt.r != r_n * 4 / seg or pt.d != tradeoff.tradeoff_f(ants, r_n):
+            if pt.r != r_n * 4 / seg or pt.d != tradeoff.tradeoff_f(3, 3, r_n):
                 return False, f"mismatch at r_n={r_n}"
         else:
             if r_n != 3 or pt.d != 0:
@@ -96,7 +94,7 @@ _ORACLE_TRIALS = 10**6
 
 def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
     """SISO profile estimates vs the exponential-CDF closed form, 3 sigma."""
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
+    cfg = RatelessConfig(1, 1, L=2)
     R = 1.0
     worst = 0.0
     cells = []
@@ -137,7 +135,7 @@ _GAIN_TRIALS = 10**5
 
 def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
     """r_hat near 0.5 for r_n = 0.25 at 60 dB, closed form and Monte Carlo."""
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
+    cfg = RatelessConfig(1, 1, L=2)
     eta = SnrPoint.from_db(60.0)
     r_n = 0.25
     R = r_n * eta.log2_eta
@@ -303,7 +301,7 @@ def _code_bytes(code, eta, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> by
 
 def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Reruns and thread-count changes leave every serialized result byte-identical."""
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=2)
+    cfg = RatelessConfig(1, 1, L=2)
     eta = SnrPoint.from_db(10.0)
     base = _profile_bytes(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=1)
     same = _profile_bytes(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=1)

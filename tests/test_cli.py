@@ -165,7 +165,8 @@ def test_codes_reports_malformed_codebook_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-_CODES = ["codes", "--L", "2", "--bits", "2", "--eta-db", "20", "--trials", "100", "--seed", "1"]
+_CODE_RUN = ["--eta-db", "20", "--trials", "100", "--seed", "1"]
+_CODES = ["codes", "--L", "2", "--bits", "2", *_CODE_RUN]
 
 
 @pytest.mark.parametrize("flag", ["--M", "--N", "--T"])
@@ -177,16 +178,16 @@ def test_codes_has_no_antenna_or_block_length_flags(tmp_path, capsys, flag):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("key", ["M", "N", "T"])
+@pytest.mark.parametrize("key", ["M", "N"])
 def test_codes_config_rejects_non_siso_dimensions(tmp_path, capsys, key):
     cfg = tmp_path / "codes.cfg"
-    cfg.write_text(f"M = 1\nN = 1\nT = 1\n{key} = 4\n")
+    cfg.write_text(f"M = 1\nN = 1\n{key} = 4\n")
     out = tmp_path / "out"
     assert main(_CODES + ["--config", str(cfg), "--out", str(out)]) == 2
     assert f"`{key}`" in capsys.readouterr().err
     assert not out.exists()
-    # the SISO, unit-block-length values are accepted
-    cfg.write_text("M = 1\nN = 1\nT = 1\n")
+    # the SISO values are accepted
+    cfg.write_text("M = 1\nN = 1\n")
     assert main(_CODES + ["--config", str(cfg), "--out", str(out)]) == 0
 
 
@@ -247,7 +248,102 @@ def test_eta_db_must_give_finite_positive_snr(tmp_path, capsys, eta_db):
     ],
 )
 def test_negative_seed_and_bad_tol_scale_rejected(tmp_path, capsys, argv, key):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    if argv[0] != "verify":  # verify writes no files and has no --out
+        argv = argv + ["--out", str(tmp_path)]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert key in captured.err
     assert "PASS" not in captured.out and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dmt", "--M", "2", "--N", "2", "--L", "2", "--seed", "3"], "--seed"),
+        (["dmt", "--M", "2", "--N", "2", "--L", "2", "--trials", "5"], "--trials"),
+        (["dmt", "--M", "2", "--N", "2", "--L", "2", "--eta-db", "10"], "--eta-db"),
+        (["dmt", "--M", "2", "--N", "2", "--L", "2", "--workers", "3"], "--workers"),
+        (["dmt", "--M", "2", "--N", "2", "--L", "2", "--T", "1"], "--T"),
+        (["verify", "--config", "sim.cfg"], "--config"),
+        (["verify", "--out", "out"], "--out"),
+        (["verify", "--trials", "5"], "--trials"),
+        (["verify", "--eta-db", "10"], "--eta-db"),
+        (["verify", "--workers", "3"], "--workers"),
+        (_SIM + ["--eta-db", "10", "--seed", "1", "--T", "1"], "--T"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_config_file_keys_are_shared_by_all_runs(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("M = 2\nN = 2\nL = 2\nr_n = 0.25\neta_db_list = 10\ntrials = 50\nseed = 5\n")
+    assert main(["dmt", "--config", str(cfg), "--per-segment", "2", "--out", str(tmp_path)]) == 0
+    assert "# M=2" in (tmp_path / "dmt_curves.csv").read_text()
+
+
+@pytest.fixture
+def saved_codebook(tmp_path):
+    """A searched L=2, bits=2 codebook and the CSV a plain `codes --codebook` run writes from it."""
+    assert main(_CODES + ["--out", str(tmp_path / "made")]) == 0
+    book = tmp_path / "made" / "codebook.txt"
+    ref = tmp_path / "ref"
+    assert main(["codes", "--codebook", str(book), *_CODE_RUN, "--out", str(ref)]) == 0
+    return book, (ref / "code_trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra, cfg_text, key",
+    [
+        (["--L", "5"], "", "`L`"),
+        (["--bits", "7"], "", "`bits`"),
+        ([], "L = 3\n", "`L`"),
+        ([], "bits = 1\n", "`bits`"),
+        (["--budget", "3"], "", "`budget`"),
+        ([], "budget = 3\n", "`budget`"),
+    ],
+)
+def test_codes_codebook_rejects_conflicting_keys(tmp_path, capsys, saved_codebook, extra, cfg_text, key):
+    book, _ = saved_codebook
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out"
+    argv = ["codes", "--codebook", str(book), *_CODE_RUN, "--config", str(cfg), *extra]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_codes_codebook_accepts_its_own_L_and_bits(tmp_path, saved_codebook):
+    book, expected = saved_codebook
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("L = 2\nbits = 2\n")
+    out = tmp_path / "out"
+    argv = ["codes", "--codebook", str(book), *_CODE_RUN, "--config", str(cfg), "--L", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert (out / "code_trials.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_codes_identity_rejects_budget(tmp_path, capsys, from_config):
+    cfg = tmp_path / "codes.cfg"
+    cfg.write_text("budget = 3\n")
+    budget = ["--config", str(cfg)] if from_config else ["--budget", "3"]
+    assert main(_CODES + ["--identity", *budget, "--out", str(tmp_path / "out")]) == 2
+    assert "`budget`" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_codes_codebook_and_identity_are_exclusive(tmp_path, capsys, saved_codebook):
+    book, _ = saved_codebook
+    with pytest.raises(SystemExit) as exc:
+        main(["codes", "--codebook", str(book), "--identity", *_CODE_RUN, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -332,32 +332,49 @@ def test_decoding_error_rate_sits_below_final_outage():
     assert res.errors.cond_err_nonoutage < siso_outage_closed_form(eta, 1.0)
 
 
+def _trials_over(code, dbs, trials, seed):
+    return [
+        run_rateless_code_trials(code, SnrPoint.from_db(db), trials, seed, stream=i)
+        for i, db in enumerate(dbs)
+    ]
+
+
 def test_universality_margin_single_block_degenerates():
     code, _ = search_permutation_code(1, 2)
-    etas = [SnrPoint.from_db(d) for d in (10.0, 20.0)]
-    ev = universality_margin(code, etas, 50_000, seed=5)
-    assert ev.per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
+    ev = universality_margin(_trials_over(code, (10.0, 20.0), 50_000, seed=5))
+    assert prefix_min_products(code) == (pytest.approx(_min_distance(code.constellation.points)),)
     assert set(ev.cells) == {(1, 10.0), (1, 20.0)}
     assert ev.cells[(1, 10.0)] > ev.cells[(1, 20.0)]  # plain uncoded-alphabet error decay
 
 
 def test_universality_margin_reports_cells_and_decay():
-    code, _ = search_permutation_code(2, 2)
-    etas = [SnrPoint.from_db(d) for d in (10.0, 20.0, 30.0)]
-    ev = universality_margin(code, etas, 100_000, seed=17)
-    assert ev.per_prefix == pytest.approx(prefix_min_products(code))
-    assert ev.worst_subset == 1
+    code, per_prefix = search_permutation_code(2, 2)
+    results = _trials_over(code, (10.0, 20.0, 30.0), 100_000, seed=17)
+    ev = universality_margin(results)
+    assert int(np.argmin(per_prefix)) == 0  # the one-block prefix is the weakest
     # prefix-1 conditional error falls steeply with SNR
     p1 = [ev.cells[(1, db)] for db in (10.0, 20.0, 30.0)]
     assert all(a > b for a, b in zip(p1, p1[1:]))
+    assert p1 == [res.err_counts[0] / res.stop_hist[0] for res in results]
     assert not math.isnan(ev.decay_estimate)
+    # the prefix-1 exponent is the OLS slope of ln(-ln p) against ln(eta)
+    x = np.log([res.eta.eta_linear for res in results])
+    assert ev.prefix_decay[0] == pytest.approx(np.polyfit(x, np.log(-np.log(p1)), 1)[0], rel=1e-9)
 
 
 def test_universality_margin_marks_thin_cells_unestimable():
     code, _ = search_permutation_code(2, 2)
-    ev = universality_margin(code, [SnrPoint.from_db(10.0)], 200, seed=3, min_count=100_000)
+    ev = universality_margin(_trials_over(code, (10.0,), 200, seed=3), min_count=100_000)
     assert all(v is None for v in ev.cells.values())
     assert math.isnan(ev.decay_estimate)
+
+
+def test_universality_margin_rejects_repeated_snrs():
+    code, _ = search_permutation_code(2, 2)
+    with pytest.raises(ValueError, match="distinct SNRs"):
+        universality_margin(_trials_over(code, (10.0, 10.0), 200, seed=3))
+    with pytest.raises(ValueError, match="nonempty"):
+        universality_margin([])
 
 
 def test_blanked_tail_blocks_leave_prefix_decoding_intact():

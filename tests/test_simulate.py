@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from reference import block_mutual_info, rateless_stop, siso_outage_profile
 
 from rateless_dmt import (
-    AntennaConfig,
     RatelessConfig,
     SnrPoint,
     diversity_slope,
@@ -33,7 +32,7 @@ from rateless_dmt.simulate import (
     write_experiment_csv,
 )
 
-SISO_L2 = RatelessConfig(AntennaConfig(1, 1), L=2)
+SISO_L2 = RatelessConfig(1, 1, L=2)
 
 
 def _linear(x):
@@ -131,7 +130,7 @@ class _CodeLayout:
 @pytest.mark.parametrize("M, N, L", KERNEL_SHAPES)
 def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     # same Philox uniforms into the batched kernel and the scalar oracles
-    cfg = RatelessConfig(AntennaConfig(M, N), L=L)
+    cfg = RatelessConfig(M, N, L)
     eta = SnrPoint.from_db(10.0)
     trials, seed, stream = 400, 21, 3
     decoder = _CodeLayout(L) if layout == "code" else None
@@ -196,7 +195,7 @@ def test_outage_profile_zero_rate_never_fails():
 
 
 def test_outage_profile_monotone_in_l_and_eta():
-    cfg = RatelessConfig(AntennaConfig(2, 2), L=4)
+    cfg = RatelessConfig(2, 2, L=4)
     seed = 77
     prev = None
     for db in (0.0, 5.0, 10.0):
@@ -283,7 +282,7 @@ def test_diversity_slope_validates():
 
 
 def test_experiment_single_block_reduces_to_plain_outage():
-    cfg = RatelessConfig(AntennaConfig(1, 1), L=1)
+    cfg = RatelessConfig(1, 1, L=1)
     etas = [SnrPoint.from_db(10.0)]
     (rec,) = run_rateless_experiment(cfg, 0.25, etas, trials=200_000, seed=5)
     oracle = siso_outage_closed_form(etas[0], rec.R)

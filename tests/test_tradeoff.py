@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rateless_dmt import (
-    AntennaConfig,
     DmtCurve,
     GainPoint,
     RatelessConfig,
@@ -23,68 +22,69 @@ from rateless_dmt import (
 )
 from rateless_dmt.tradeoff import SCHEMES
 
-antenna_configs = st.builds(
-    AntennaConfig, M=st.integers(min_value=1, max_value=6), N=st.integers(min_value=1, max_value=6)
-)
+antenna_counts = st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
 
 rateless_configs = st.builds(
-    RatelessConfig, antennas=antenna_configs, L=st.integers(min_value=1, max_value=8)
+    RatelessConfig,
+    M=st.integers(min_value=1, max_value=6),
+    N=st.integers(min_value=1, max_value=6),
+    L=st.integers(min_value=1, max_value=8),
 )
 
 gains = st.fractions(min_value=0, max_value=8, max_denominator=64)
 
 
 def test_f_integer_corners_and_interpolation():
-    a22 = AntennaConfig(2, 2)
-    assert tradeoff_f(a22, 0) == 4
-    assert tradeoff_f(a22, F(1, 2)) == F(5, 2)
-    a33 = AntennaConfig(3, 3)
-    assert tradeoff_f(a33, 3) == 0
-    assert tradeoff_f(a33, F(21, 5)) == 0  # clamp beyond min(M, N)
-    assert tradeoff_f(a33, F(3, 2)) == F(5, 2)
+    assert tradeoff_f(2, 2, 0) == 4
+    assert tradeoff_f(2, 2, F(1, 2)) == F(5, 2)
+    assert tradeoff_f(3, 3, 3) == 0
+    assert tradeoff_f(3, 3, F(21, 5)) == 0  # clamp beyond min(M, N)
+    assert tradeoff_f(3, 3, F(3, 2)) == F(5, 2)
+    assert tradeoff_f(2, 3, F(1, 2)) == 4 == tradeoff_f(3, 2, F(1, 2))
 
 
 def test_f_rejects_negative():
     with pytest.raises(ValueError):
-        tradeoff_f(AntennaConfig(2, 2), F(-1, 2))
+        tradeoff_f(2, 2, F(-1, 2))
 
 
 def test_conventional_values_and_domain():
     # a fixed-rate scheme at multiplexing gain r has diversity f(r)
-    assert tradeoff_f(AntennaConfig(2, 2), 1) == 1
-    assert tradeoff_f(AntennaConfig(3, 3), 0) == 9
-    assert tradeoff_f(AntennaConfig(3, 3), F(3, 2)) == F(5, 2)
-    assert tradeoff_f(AntennaConfig(2, 2), F(5, 2)) == 0
+    assert tradeoff_f(2, 2, 1) == 1
+    assert tradeoff_f(3, 3, 0) == 9
+    assert tradeoff_f(3, 3, F(3, 2)) == F(5, 2)
+    assert tradeoff_f(2, 2, F(5, 2)) == 0
 
 
-@given(antenna_configs, gains, gains)
-def test_f_nonincreasing(cfg, k1, k2):
+@given(antenna_counts, gains, gains)
+def test_f_nonincreasing(mn, k1, k2):
     lo, hi = min(k1, k2), max(k1, k2)
-    assert tradeoff_f(cfg, lo) >= tradeoff_f(cfg, hi)
+    assert tradeoff_f(*mn, lo) >= tradeoff_f(*mn, hi)
 
 
-@given(antenna_configs, gains, gains)
-def test_f_midpoint_convex(cfg, k1, k2):
+@given(antenna_counts, gains, gains)
+def test_f_midpoint_convex(mn, k1, k2):
     mid = (k1 + k2) / 2
-    assert tradeoff_f(cfg, mid) <= (tradeoff_f(cfg, k1) + tradeoff_f(cfg, k2)) / 2
+    assert tradeoff_f(*mn, mid) <= (tradeoff_f(*mn, k1) + tradeoff_f(*mn, k2)) / 2
 
 
-@given(antenna_configs)
-def test_f_endpoints(cfg):
-    assert tradeoff_f(cfg, 0) == cfg.M * cfg.N
-    assert tradeoff_f(cfg, cfg.min_antennas) == 0
+@given(antenna_counts)
+def test_f_endpoints(mn):
+    M, N = mn
+    assert tradeoff_f(M, N, 0) == M * N
+    assert tradeoff_f(M, N, min(M, N)) == 0
 
 
-@given(antenna_configs, gains)
-def test_f_exact_under_denominator_scaling(cfg, k):
+@given(antenna_counts, gains)
+def test_f_exact_under_denominator_scaling(mn, k):
     scaled = F(3 * k.numerator, 3 * k.denominator)
-    assert tradeoff_f(cfg, scaled) == tradeoff_f(cfg, k)
+    assert tradeoff_f(*mn, scaled) == tradeoff_f(*mn, k)
 
 
 def test_segment_examples():
-    assert rateless_segment(RatelessConfig(AntennaConfig(2, 2), L=2), F(1, 2)) == 1
-    assert rateless_segment(RatelessConfig(AntennaConfig(3, 3), L=4), F(3, 4)) == 2
-    assert rateless_segment(RatelessConfig(AntennaConfig(3, 3), L=4), 3) is None
+    assert rateless_segment(RatelessConfig(2, 2, L=2), F(1, 2)) == 1
+    assert rateless_segment(RatelessConfig(3, 3, L=4), F(3, 4)) == 2
+    assert rateless_segment(RatelessConfig(3, 3, L=4), 3) is None
 
 
 @given(rateless_configs, gains)
@@ -99,16 +99,16 @@ def test_segment_intervals_left_closed(cfg, r_n):
 
 
 def test_point_examples():
-    pt = rateless_dmt_point(RatelessConfig(AntennaConfig(2, 2), L=2), F(1, 2))
+    pt = rateless_dmt_point(RatelessConfig(2, 2, L=2), F(1, 2))
     assert (pt.r, pt.d) == (1, F(5, 2))
-    pt = rateless_dmt_point(RatelessConfig(AntennaConfig(3, 3), L=4), 1)
+    pt = rateless_dmt_point(RatelessConfig(3, 3, L=4), 1)
     assert (pt.r, pt.d) == (2, 4)
-    pt = rateless_dmt_point(RatelessConfig(AntennaConfig(1, 1), L=2), 0)
+    pt = rateless_dmt_point(RatelessConfig(1, 1, L=2), 0)
     assert (pt.r, pt.d) == (0, 1)
 
 
 def test_tail_reporting_clamps_to_min_antennas():
-    cfg = RatelessConfig(AntennaConfig(3, 3), L=4)
+    cfg = RatelessConfig(3, 3, L=4)
     for r_n in (3, F(7, 2), 100):
         pt = rateless_dmt_point(cfg, r_n)
         assert rateless_segment(cfg, r_n) is None
@@ -120,7 +120,7 @@ def test_segment_diversity_identity(cfg, r_n):
     # On every segment l * r / L collapses back to r_n, so d = f(r_n).
     pt = rateless_dmt_point(cfg, r_n)
     if rateless_segment(cfg, r_n) is not None:
-        assert pt.d == tradeoff_f(cfg.antennas, r_n)
+        assert pt.d == tradeoff_f(cfg.M, cfg.N, r_n)
         assert pt.r < cfg.min_antennas  # only the tail is pinned to min(M, N)
 
 
@@ -144,18 +144,18 @@ def test_first_segment_multiplies_gain_by_L(cfg, r_n):
     if r_n < F(m, cfg.L):
         pt = rateless_dmt_point(cfg, r_n)
         assert pt.r == cfg.L * r_n
-        assert pt.d == tradeoff_f(cfg.antennas, r_n)
+        assert pt.d == tradeoff_f(cfg.M, cfg.N, r_n)
         # and coincides with the shared-matrix parallel baseline at gain r
         assert pt.d == parallel_identical_dmt(cfg, pt.r)
 
 
 def test_parallel_examples():
-    c22 = RatelessConfig(AntennaConfig(2, 2), L=2)
+    c22 = RatelessConfig(2, 2, L=2)
     assert parallel_identical_dmt(c22, 1) == F(5, 2)
     assert parallel_identical_dmt(c22, 0) == 4
     assert parallel_identical_dmt(c22, 4) == 0
     assert parallel_iid_dmt(c22, 1) == 5
-    c13 = RatelessConfig(AntennaConfig(1, 1), L=3)
+    c13 = RatelessConfig(1, 1, L=3)
     assert parallel_iid_dmt(c13, 0) == 3
     assert parallel_iid_dmt(c13, 3) == 0
     with pytest.raises(ValueError):
@@ -169,19 +169,19 @@ def test_parallel_iid_is_L_times_identical(cfg, r_n):
 
 
 def test_curve_small_grid_values():
-    cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
+    cfg = RatelessConfig(2, 2, L=2)
     rateless, conventional, _, _ = dmt_curves(cfg, [0, F(1, 2), F(999, 1000)])
     assert [(p.r, p.d) for p in rateless.points] == [
         (0, 4),
         (1, F(5, 2)),
-        (F(999, 500), tradeoff_f(cfg.antennas, F(999, 1000))),
+        (F(999, 500), tradeoff_f(cfg.M, cfg.N, F(999, 1000))),
     ]
     assert [(p.r, p.d) for p in conventional.points][0] == (0, 4)
     assert rateless.segment_index == (1, 1, 1)
 
 
 def test_curve_four_segments_sweep_toward_min():
-    cfg = RatelessConfig(AntennaConfig(3, 3), L=4)
+    cfg = RatelessConfig(3, 3, L=4)
     grid = default_r_n_grid(cfg, points_per_segment=64)
     rateless = dmt_curves(cfg, grid)[0]
     by_segment = {}
@@ -196,7 +196,7 @@ def test_curve_four_segments_sweep_toward_min():
 
 
 def test_degenerate_single_block_curve_matches_conventional():
-    cfg = RatelessConfig(AntennaConfig(2, 3), L=1)
+    cfg = RatelessConfig(2, 3, L=1)
     grid = default_r_n_grid(cfg, points_per_segment=32)
     rateless, conventional, _, _ = dmt_curves(cfg, grid)
     for a, b in zip(rateless.points, conventional.points):
@@ -204,7 +204,7 @@ def test_degenerate_single_block_curve_matches_conventional():
 
 
 def test_dmt_curves_cover_all_schemes_in_order():
-    cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
+    cfg = RatelessConfig(2, 2, L=2)
     grid = [0, F(1, 2), 2]
     curves = dmt_curves(cfg, grid)
     assert tuple(c.scheme for c in curves) == SCHEMES
@@ -216,7 +216,7 @@ def test_dmt_curves_cover_all_schemes_in_order():
 
 
 def test_curve_rejects_unsorted_grid():
-    cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
+    cfg = RatelessConfig(2, 2, L=2)
     with pytest.raises(ValueError):
         dmt_curves(cfg, [F(1, 2), F(1, 2)])
     with pytest.raises(ValueError):
@@ -224,7 +224,7 @@ def test_curve_rejects_unsorted_grid():
 
 
 def test_default_grid_contains_segment_boundaries():
-    cfg = RatelessConfig(AntennaConfig(3, 3), L=4)
+    cfg = RatelessConfig(3, 3, L=4)
     grid = default_r_n_grid(cfg)
     for b in (0, F(3, 4), F(3, 2), F(9, 4), 3):
         assert b in grid
@@ -250,7 +250,7 @@ def test_curve_type_rejects_bad_shapes():
 
 
 def test_csv_export_format_and_exact_columns():
-    cfg = RatelessConfig(AntennaConfig(2, 2), L=2)
+    cfg = RatelessConfig(2, 2, L=2)
     grid = [0, F(1, 3), F(1, 2)]
     rateless, conventional, _, par = dmt_curves(cfg, grid)
     buf = io.StringIO()
@@ -264,5 +264,5 @@ def test_csv_export_format_and_exact_columns():
     assert row[4] == "rateless"
     assert F(row[5]) == F(1, 3) and F(row[6]) == F(2, 3)
     # exact columns reconstruct the rational values bit-for-bit
-    assert F(row[7]) == tradeoff_f(cfg.antennas, F(1, 3))
+    assert F(row[7]) == tradeoff_f(cfg.M, cfg.N, F(1, 3))
     assert any(line.endswith("parallel_iid,1/2,1,5") for line in lines)
