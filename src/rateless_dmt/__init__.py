@@ -11,7 +11,6 @@ from .permcode import (
     Constellation,
     ErrorDecomposition,
     PermutationCode,
-    UniversalityEvidence,
     build_qam,
     identity_code,
     load_codebook,
@@ -19,11 +18,9 @@ from .permcode import (
     run_rateless_code_trials,
     save_codebook,
     search_permutation_code,
-    universality_margin,
 )
 from .simulate import (
     EffectiveRate,
-    SlopeEstimate,
     SnrPoint,
     diversity_slope,
     effective_rate,

@@ -3,10 +3,12 @@
 Subcommands: `dmt`, `simulate`, `codes`, `verify`, each with only the
 flags it reads. Options may come from a flat key=value config file
 (`--config`); every key may appear in any file, and command-line flags
-override file values. Every emitted file embeds the effective
+override file values. Every emitted CSV embeds the effective
 configuration as `#` comment lines, so outputs are reproducible
-byte-for-byte from (config, seed, tool version). Exit codes: 0 success,
-1 verification failure, 2 usage or validation error.
+byte-for-byte from (config, seed, tool version). `simulate` also prints
+the fitted diversity slope of each p(l) beside its analytic limit.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation
+error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ def _parse_eta_list(raw: str) -> list[float]:
     values = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty list")
+    if len(set(values)) != len(values):
+        raise ValueError("repeated SNR")  # rows and slope fits are keyed by SNR
     for db in values:
         # the linear SNR must be a finite positive float: 4000 dB overflows, -4000 dB underflows
         try:
@@ -112,8 +116,8 @@ def _value(cfg: dict[str, str], key: str):
     spec = CONFIG_KEYS[key]
     try:
         value = spec.parse(cfg[key])
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"invalid value for `{key}`: {cfg[key]!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"invalid value for `{key}`: {cfg[key]!r} ({exc})") from None
     if spec.check is not None and not spec.check(value):
         raise ConfigError(f"value for `{key}` out of range ({spec.describe}): {cfg[key]!r}")
     return value
@@ -206,6 +210,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(path, "w", newline="") as f:
         simulate.write_experiment_csv(f, records, seed, metadata=meta)
     print(f"wrote {path} ({len(records)} SNR points) in {time.perf_counter() - start:.2f}s")
+    for l in range(1, cfg.L + 1):
+        usable = [rec for rec in records if 0.0 < rec.p_hat[l] < 1.0]
+        if len(usable) < 2:
+            print(f"  p({l}): too few usable points for a slope fit")
+            continue
+        slope = simulate.diversity_slope(
+            [rec.eta for rec in usable], [-math.log2(rec.p_hat[l]) for rec in usable]
+        )
+        limit = float(tradeoff.tradeoff_f(cfg.M, cfg.N, cfg.L * r_n / l))
+        print(f"  p({l}): fitted slope {slope:.3f}, analytic limit {limit:.3f}")
     return 0
 
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class Constellation:
             raise ValueError(
                 f"expected {2 ** self.bits} points for bits={self.bits}, got {len(self.points)}"
             )
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("constellation points must be finite")
         if len(np.unique(self.points)) != len(self.points):
             raise ValueError("constellation points must be distinct")
         energy = float(np.mean(np.abs(self.points) ** 2))
@@ -127,23 +129,6 @@ def prefix_min_products(code: PermutationCode) -> tuple[float, ...]:
     """
     i, j = np.triu_indices(code.n_messages, k=1)
     return tuple(reversed(_objective(code.constellation.points, code.perms, i, j)))
-
-
-@dataclass(frozen=True)
-class UniversalityEvidence:
-    """Decay evidence for prefix decodability.
-
-    cells maps (l, eta_db) to the conditional error given a stop at
-    block l, or None where too few trials stopped there. prefix_decay
-    holds, per prefix, the fitted exponent of ln(-ln p) against ln(eta);
-    decay_estimate is the smallest of them (NaN when no prefix has two
-    estimable cells). Reported as evidence only, never asserted against
-    a target.
-    """
-
-    decay_estimate: float
-    prefix_decay: tuple[float, ...]
-    cells: Mapping[tuple[int, float], Optional[float]]
 
 
 def _objective(points: np.ndarray, perms: Sequence[Sequence[int]], i, j) -> tuple[float, ...]:
@@ -359,47 +344,6 @@ def run_rateless_code_trials(
     )
     return CodeTrialResult(
         eta=eta, R=R, stop_hist=simulate.stop_histogram(counts[:L], trials), err_counts=counts[L:]
-    )
-
-
-def universality_margin(
-    results: Sequence[CodeTrialResult], min_count: int = 100
-) -> UniversalityEvidence:
-    """Conditional non-outage error decay across the SNRs of one code's trial results.
-
-    For every prefix length l, estimates Pr(error | stop at l) at each
-    result's SNR; cells with fewer than min_count stopping trials are left
-    unestimable (None). Each prefix with at least two estimable cells in
-    (0, 1) gets the slope of log(-log p) against log(eta) from
-    :func:`simulate.diversity_slope`. No target value is asserted: the
-    evidence is reported as-is.
-    """
-    if not results:
-        raise ValueError("results must be nonempty")
-    if len({res.eta.eta_db for res in results}) != len(results):
-        raise ValueError("results must be at distinct SNRs")  # cells are keyed by SNR
-    L = results[0].L
-    cells: dict[tuple[int, float], Optional[float]] = {}
-    for res in results:
-        for l in range(1, L + 1):
-            stopped = int(res.stop_hist[l - 1])
-            cells[(l, res.eta.eta_db)] = res.err_counts[l - 1] / stopped if stopped >= min_count else None
-
-    prefix_decay = []
-    for l in range(1, L + 1):
-        # diversity_slope fits against log2(eta), so log2(-ln p) gives the exponent of -ln p
-        etas, ys = [], []
-        for res in results:
-            p = cells[(l, res.eta.eta_db)]
-            if p is not None and 0.0 < p < 1.0:
-                etas.append(res.eta)
-                ys.append(math.log2(-math.log(p)))
-        prefix_decay.append(simulate.diversity_slope(etas, ys).slope if len(etas) >= 2 else math.nan)
-    finite = [d for d in prefix_decay if not math.isnan(d)]
-    return UniversalityEvidence(
-        decay_estimate=min(finite) if finite else math.nan,
-        prefix_decay=tuple(prefix_decay),
-        cells=cells,
     )
 
 

@@ -59,20 +59,6 @@ class EffectiveRate:
 
 
 @dataclass(frozen=True)
-class SlopeEstimate:
-    """Least-squares diversity slope with a secant cross-check.
-
-    slope: OLS slope of -log2(p) against log2(eta).
-    secant: the same ratio using only the two highest-SNR points.
-    residual_rms: root-mean-square OLS residual.
-    """
-
-    slope: float
-    secant: float
-    residual_rms: float
-
-
-@dataclass(frozen=True)
 class SnrRecord:
     """The stop counts of one SNR point and rate R; every estimate derives from them.
 
@@ -257,7 +243,7 @@ def effective_rate(
     return EffectiveRate(r_bar=r_bar, r_hat=r_hat)
 
 
-def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> SlopeEstimate:
+def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> float:
     """OLS slope of -log2(p) against log2(eta).
 
     Takes the exponents rather than the probabilities, so points where p
@@ -274,14 +260,7 @@ def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> Sl
         raise ValueError("neg_log2_p values must be finite")
     if len(np.unique(x)) != len(x):
         raise ValueError("SNR points must be distinct")
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    secant = (y[-1] - y[-2]) / (x[-1] - x[-2])
-    return SlopeEstimate(
-        slope=float(slope), secant=float(secant), residual_rms=float(np.sqrt(np.mean(resid**2)))
-    )
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def run_rateless_experiment(

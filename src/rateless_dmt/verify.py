@@ -123,10 +123,10 @@ def check_analytic_slope(seed: int, tol_scale: float) -> tuple[bool, str]:
             -math.log2(simulate.siso_outage_closed_form(eta, L * r_n * eta.log2_eta / l))
             for eta in etas
         ]
-        est = simulate.diversity_slope(etas, neglog)
+        slope = simulate.diversity_slope(etas, neglog)
         lo_s, hi_s = _interval(lo, hi, tol_scale)
-        results.append(lo_s <= est.slope <= hi_s)
-        details.append(f"p({l}) slope {est.slope:.4f} in [{lo_s:g},{hi_s:g}]")
+        results.append(lo_s <= slope <= hi_s)
+        details.append(f"p({l}) slope {slope:.4f} in [{lo_s:g},{hi_s:g}]")
     return all(results), "; ".join(details)
 
 
@@ -167,13 +167,13 @@ def check_rate_collapse(seed: int, tol_scale: float) -> tuple[bool, str]:
 
     etas = [SnrPoint.from_db(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
     neglog = [simulate.siso_outage_neg_log2(e, 2 * r_n * e.log2_eta) for e in etas]
-    est = simulate.diversity_slope(etas, neglog)
+    slope = simulate.diversity_slope(etas, neglog)
     lo, hi = _interval(-0.05, 0.05, tol_scale)
-    ok_slope = lo <= est.slope <= hi
+    ok_slope = lo <= slope <= hi
     return (
         ok_rate and ok_slope,
         f"r_hat {rhat:.4f} (target {target:g} within 10%); "
-        f"p(1) exponent slope {est.slope:.3g} in [{lo:g},{hi:g}]",
+        f"p(1) exponent slope {slope:.3g} in [{lo:g},{hi:g}]",
     )
 
 

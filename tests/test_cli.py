@@ -6,7 +6,7 @@ import pytest
 
 from rateless_dmt import siso_outage_closed_form, SnrPoint
 from rateless_dmt.cli import main
-from rateless_dmt.permcode import load_codebook, prefix_min_products
+from rateless_dmt.permcode import codebook_text, identity_code, load_codebook, prefix_min_products
 
 
 def _read_rows(path):
@@ -78,6 +78,32 @@ def test_simulate_matches_closed_form(tmp_path):
             continue
         oracle = siso_outage_closed_form(eta, 2 * R / l)
         assert abs(float(row["p_hat"]) - oracle) <= 3.0 * float(row["stderr"])
+
+
+def test_simulate_prints_slope_fit_against_analytic_limit(tmp_path, capsys):
+    assert main([
+        "simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25",
+        "--eta-db", "10,20,30,40,50,60", "--trials", "20000", "--seed", "7", "--out", str(tmp_path),
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # limits f(1, 1, L r_n / l) = 1 - 0.5 / l; the fits sit a little below them at finite SNR
+    assert lines[1:] == [
+        "  p(1): fitted slope 0.472, analytic limit 0.500",
+        "  p(2): fitted slope 0.670, analytic limit 0.750",
+    ]
+
+
+def test_simulate_slope_limit_is_mimo_f_and_needs_two_cells(tmp_path, capsys):
+    mimo = ["simulate", "--M", "2", "--N", "2", "--L", "2", "--r-n", "0.75", "--trials", "20000"]
+    assert main(mimo + ["--eta-db", "10,15,20,25", "--seed", "7", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    # f(2, 2, 1.5) = 1 + 0.5 * (3 - 4) and f(2, 2, 0.75) = 4 + 0.75 * (1 - 4)
+    assert "  p(1): fitted slope 0.223, analytic limit 0.500" in out
+    assert "  p(2): fitted slope 1.394, analytic limit 1.750" in out
+    assert main(mimo + ["--eta-db", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  p({l}): too few usable points for a slope fit" for l in (1, 2)
+    ]
 
 
 def test_simulate_validates_trials(tmp_path, capsys):
@@ -165,6 +191,20 @@ def test_codes_reports_malformed_codebook_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_codes_rejects_non_finite_codebook_point(tmp_path, capsys):
+    lines = codebook_text(identity_code(2, 2)).splitlines()
+    lines[3] = "nan,0.0"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([
+        "codes", "--codebook", str(bad), "--eta-db", "20,30",
+        "--trials", "20000", "--seed", "1", "--out", str(out),
+    ]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _CODE_RUN = ["--eta-db", "20", "--trials", "100", "--seed", "1"]
 _CODES = ["codes", "--L", "2", "--bits", "2", *_CODE_RUN]
 
@@ -227,7 +267,9 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
     assert not (tmp_path / "simulate_results.csv").exists()
 
 
-@pytest.mark.parametrize("eta_db", ["4000", "inf", "-inf", "nan", "-4000", "10,4000"])
+@pytest.mark.parametrize(
+    "eta_db", ["4000", "inf", "-inf", "nan", "-4000", "10,4000", "10,10", "10,20,10"]
+)
 def test_eta_db_must_give_finite_positive_snr(tmp_path, capsys, eta_db):
     argv = _SIM + [f"--eta-db={eta_db}", "--seed", "1", "--out", str(tmp_path)]
     assert main(argv) == 2

@@ -17,7 +17,6 @@ from rateless_dmt import (
     run_rateless_code_trials,
     search_permutation_code,
     siso_outage_closed_form,
-    universality_margin,
 )
 from rateless_dmt.permcode import (
     Constellation,
@@ -71,6 +70,8 @@ def test_constellation_invariants():
         Constellation(points=np.array([2.0 + 0j, -2.0 + 0j]), bits=1)  # energy 4
     with pytest.raises(ValueError):
         Constellation(points=np.array([1.0 + 0j]), bits=0)
+    with pytest.raises(ValueError, match="finite"):
+        Constellation(points=np.array([complex(math.nan, 0.0), 1.0 + 0j]), bits=1)
 
 
 def test_code_type_invariants():
@@ -124,6 +125,7 @@ def test_search_4qam_all_permutations_tie():
     assert code.perms == (tuple(range(4)), tuple(range(4)))
     assert per_prefix[1] == pytest.approx(2.0)
     assert per_prefix[0] == pytest.approx(math.sqrt(2.0))
+    assert int(np.argmin(per_prefix)) == 0  # the one-block prefix is the weakest
 
 
 def test_search_8qam_strictly_improves_on_identity():
@@ -140,6 +142,7 @@ def test_search_single_block_returns_constellation_distance():
     code, per_prefix = search_permutation_code(L=1, bits=3)
     assert code.perms == (tuple(range(8)),)
     assert per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
+    assert prefix_min_products(code) == per_prefix
 
 
 def test_search_randomized_mode_is_deterministic():
@@ -318,11 +321,13 @@ def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
 
 def test_conditional_error_decreases_with_snr():
     code, _ = search_permutation_code(2, 2)
-    vals = []
+    vals, prefix1 = [], []
     for i, db in enumerate((10.0, 20.0, 30.0, 40.0)):
         res = run_rateless_code_trials(code, SnrPoint.from_db(db), 200_000, seed=17, stream=i)
         vals.append(res.errors.cond_err_nonoutage)
+        prefix1.append(res.err_counts[0] / res.stop_hist[0])  # error given a stop at block 1
     assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert all(a > b for a, b in zip(prefix1, prefix1[1:]))
 
 
 def test_decoding_error_rate_sits_below_final_outage():
@@ -330,51 +335,6 @@ def test_decoding_error_rate_sits_below_final_outage():
     eta = SnrPoint.from_db(30.0)
     res = run_rateless_code_trials(code, eta, 200_000, seed=23)
     assert res.errors.cond_err_nonoutage < siso_outage_closed_form(eta, 1.0)
-
-
-def _trials_over(code, dbs, trials, seed):
-    return [
-        run_rateless_code_trials(code, SnrPoint.from_db(db), trials, seed, stream=i)
-        for i, db in enumerate(dbs)
-    ]
-
-
-def test_universality_margin_single_block_degenerates():
-    code, _ = search_permutation_code(1, 2)
-    ev = universality_margin(_trials_over(code, (10.0, 20.0), 50_000, seed=5))
-    assert prefix_min_products(code) == (pytest.approx(_min_distance(code.constellation.points)),)
-    assert set(ev.cells) == {(1, 10.0), (1, 20.0)}
-    assert ev.cells[(1, 10.0)] > ev.cells[(1, 20.0)]  # plain uncoded-alphabet error decay
-
-
-def test_universality_margin_reports_cells_and_decay():
-    code, per_prefix = search_permutation_code(2, 2)
-    results = _trials_over(code, (10.0, 20.0, 30.0), 100_000, seed=17)
-    ev = universality_margin(results)
-    assert int(np.argmin(per_prefix)) == 0  # the one-block prefix is the weakest
-    # prefix-1 conditional error falls steeply with SNR
-    p1 = [ev.cells[(1, db)] for db in (10.0, 20.0, 30.0)]
-    assert all(a > b for a, b in zip(p1, p1[1:]))
-    assert p1 == [res.err_counts[0] / res.stop_hist[0] for res in results]
-    assert not math.isnan(ev.decay_estimate)
-    # the prefix-1 exponent is the OLS slope of ln(-ln p) against ln(eta)
-    x = np.log([res.eta.eta_linear for res in results])
-    assert ev.prefix_decay[0] == pytest.approx(np.polyfit(x, np.log(-np.log(p1)), 1)[0], rel=1e-9)
-
-
-def test_universality_margin_marks_thin_cells_unestimable():
-    code, _ = search_permutation_code(2, 2)
-    ev = universality_margin(_trials_over(code, (10.0,), 200, seed=3), min_count=100_000)
-    assert all(v is None for v in ev.cells.values())
-    assert math.isnan(ev.decay_estimate)
-
-
-def test_universality_margin_rejects_repeated_snrs():
-    code, _ = search_permutation_code(2, 2)
-    with pytest.raises(ValueError, match="distinct SNRs"):
-        universality_margin(_trials_over(code, (10.0, 10.0), 200, seed=3))
-    with pytest.raises(ValueError, match="nonempty"):
-        universality_margin([])
 
 
 def test_blanked_tail_blocks_leave_prefix_decoding_intact():
@@ -414,6 +374,7 @@ def test_codebook_file_round_trip(tmp_path):
         (lambda lines: lines.__setitem__(6, "0 1 2 q"), 7),
         (lambda lines: lines.append("extra"), 9),
         (lambda lines: lines.__delitem__(7), 8),
+        pytest.param(lambda lines: lines.__setitem__(3, "nan,0.0"), 1, id="nan-point"),
     ],
 )
 def test_codebook_parse_errors_carry_line_numbers(mutation, lineno):
