@@ -20,7 +20,6 @@ from .permcode import (
     search_permutation_code,
 )
 from .simulate import (
-    EffectiveRate,
     SnrPoint,
     diversity_slope,
     effective_rate,

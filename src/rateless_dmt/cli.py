@@ -27,25 +27,21 @@ from .configs import RatelessConfig
 from .simulate import SnrPoint
 
 
+# the slope of p(l) fits only SNRs with this many trials short after block l, and this many not
+MIN_SLOPE_EVENTS = 10
+
+
 class ConfigError(Exception):
     """Invalid or missing configuration; the message names the key."""
 
 
-def _parse_eta_list(raw: str) -> list[float]:
+def _parse_eta_list(raw: str) -> list[SnrPoint]:
     values = [float(tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty list")
     if len(set(values)) != len(values):
         raise ValueError("repeated SNR")  # rows and slope fits are keyed by SNR
-    for db in values:
-        # the linear SNR must be a finite positive float: 4000 dB overflows, -4000 dB underflows
-        try:
-            linear = 10.0 ** (db / 10.0)
-        except OverflowError:
-            raise ValueError(f"{db} dB overflows") from None
-        if not (math.isfinite(linear) and linear > 0):
-            raise ValueError(f"{db} dB is not a finite positive SNR")
-    return values
+    return [SnrPoint(db) for db in values]
 
 
 def _positive(x) -> bool:
@@ -181,7 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg_raw = _gather(args)
     cfg = _link(cfg_raw)
     r_n = _require(cfg_raw, "r_n")
-    eta_db = _require(cfg_raw, "eta_db_list")
+    etas = _require(cfg_raw, "eta_db_list")
     trials = _require(cfg_raw, "trials")
     seed = _require(cfg_raw, "seed")
     if r_n * cfg.L >= cfg.min_antennas:
@@ -192,7 +188,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     start = time.perf_counter()
-    etas = [SnrPoint.from_db(db) for db in eta_db]
     records = simulate.run_rateless_experiment(cfg, float(r_n), etas, trials, seed, workers=workers)
     path = _open_out(args.out, "simulate_results.csv")
     meta = _metadata(
@@ -202,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "N": cfg.N,
             "L": cfg.L,
             "r_n": r_n,
-            "eta_db_list": ",".join(tradeoff.format_sig12(d) for d in eta_db),
+            "eta_db_list": ",".join(tradeoff.format_sig12(eta.eta_db) for eta in etas),
             "trials": trials,
             "seed": seed,
         },
@@ -211,7 +206,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         simulate.write_experiment_csv(f, records, seed, metadata=meta)
     print(f"wrote {path} ({len(records)} SNR points) in {time.perf_counter() - start:.2f}s")
     for l in range(1, cfg.L + 1):
-        usable = [rec for rec in records if 0.0 < rec.p_hat[l] < 1.0]
+        short = [int(rec.stop_hist[l:].sum()) for rec in records]  # still short after block l
+        usable = [rec for rec, s in zip(records, short) if min(s, rec.trials - s) >= MIN_SLOPE_EVENTS]
         if len(usable) < 2:
             print(f"  p({l}): too few usable points for a slope fit")
             continue
@@ -228,7 +224,7 @@ def cmd_codes(args: argparse.Namespace) -> int:
     cfg_raw = _gather(args)
     for key in ("M", "N"):
         _pinned(cfg_raw, key, 1, "codes are SISO")
-    eta_db = _require(cfg_raw, "eta_db_list")
+    etas = _require(cfg_raw, "eta_db_list")
     trials = _require(cfg_raw, "trials")
     seed = _require(cfg_raw, "seed")
     if "budget" in cfg_raw and (args.codebook or args.identity):
@@ -256,7 +252,6 @@ def cmd_codes(args: argparse.Namespace) -> int:
                 + ", ".join(f"l={l + 1}: {d:.6g}" for l, d in enumerate(per_prefix))
             )
 
-    etas = [SnrPoint.from_db(db) for db in eta_db]
     results = [
         permcode.run_rateless_code_trials(code, eta, trials, seed, stream=i, workers=workers)
         for i, eta in enumerate(etas)
@@ -270,7 +265,7 @@ def cmd_codes(args: argparse.Namespace) -> int:
             "L": code.L,
             "bits": code.bits,
             "R": tradeoff.format_sig12(code.bits / code.L),
-            "eta_db_list": ",".join(tradeoff.format_sig12(d) for d in eta_db),
+            "eta_db_list": ",".join(tradeoff.format_sig12(eta.eta_db) for eta in etas),
             "trials": trials,
             "seed": seed,
             "codebook": book_path.name,

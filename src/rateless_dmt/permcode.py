@@ -163,10 +163,6 @@ def search_permutation_code(
     const = build_qam(bits)
     n = const.size
     identity = tuple(range(n))
-    if L == 1:
-        code = PermutationCode(constellation=const, perms=(identity,))
-        return code, prefix_min_products(code)
-
     i, j = np.triu_indices(n, k=1)
     points = const.points
 
@@ -284,7 +280,7 @@ class CodeTrialResult(SnrRecord):
 
 
 class _PrefixErrors:
-    """Decoder hook for :func:`simulate.short_counts`: errors per stopping block.
+    """Decoder hook for :func:`simulate.stop_counts`: errors per stopping block.
 
     Trial layout in the substream: one uniform for the message, two for
     the fading draw, 2L for the block noises. The layout is independent
@@ -338,13 +334,11 @@ def run_rateless_code_trials(
     cfg = RatelessConfig(1, 1, L)
     # bound the per-chunk distance matrix to ~32 MB for large codebooks
     chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
-    counts = simulate.short_counts(
+    counts = simulate.stop_counts(
         cfg, eta, R, trials, seed,
         stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
     )
-    return CodeTrialResult(
-        eta=eta, R=R, stop_hist=simulate.stop_histogram(counts[:L], trials), err_counts=counts[L:]
-    )
+    return CodeTrialResult(eta=eta, R=R, stop_hist=counts[: L + 1], err_counts=counts[L + 1 :])
 
 
 def codebook_text(code: PermutationCode) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -28,34 +28,33 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class SnrPoint:
-    """Average SNR per receive antenna, carried in linear and dB form."""
+    """Average SNR per receive antenna in dB; the linear value is derived from it.
 
-    eta_linear: float
+    Valid when the linear SNR 10^(dB/10) is a finite positive float, so
+    4000 dB (overflow), -4000 dB (underflow), inf and nan are rejected.
+    """
+
     eta_db: float
 
     def __post_init__(self):
-        if not self.eta_linear > 0:
-            raise ValueError(f"eta_linear must be > 0, got {self.eta_linear}")
-        if abs(10.0 ** (self.eta_db / 10.0) - self.eta_linear) > 1e-12 * self.eta_linear:
-            raise ValueError(
-                f"eta_db={self.eta_db} inconsistent with eta_linear={self.eta_linear}"
-            )
+        try:
+            linear = self.eta_linear
+        except OverflowError:
+            raise ValueError(f"{self.eta_db} dB overflows") from None
+        if not (math.isfinite(linear) and linear > 0):
+            raise ValueError(f"{self.eta_db} dB is not a finite positive SNR")
 
     @classmethod
     def from_db(cls, eta_db: float) -> "SnrPoint":
-        return cls(eta_linear=10.0 ** (eta_db / 10.0), eta_db=eta_db)
+        return cls(eta_db)
+
+    @cached_property
+    def eta_linear(self) -> float:
+        return 10.0 ** (self.eta_db / 10.0)
 
     @property
     def log2_eta(self) -> float:
         return math.log2(self.eta_linear)
-
-
-@dataclass(frozen=True)
-class EffectiveRate:
-    """Average per-message rate r_bar and its SNR-normalized form r_hat."""
-
-    r_bar: float
-    r_hat: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,13 @@ class SnrRecord:
         return binomial_stderr(self.p_hat, self.trials)
 
     @property
-    def rate(self) -> EffectiveRate:
-        return effective_rate(self.R, self.L, self.p_hat, self.eta)
+    def r_bar(self) -> float:
+        return effective_rate(self.R, self.L, self.p_hat)
+
+    @property
+    def r_hat(self) -> float:
+        """r_bar / log2(eta), NaN at 0 dB where log2(eta) = 0."""
+        return self.r_bar / self.eta.log2_eta if self.eta.log2_eta else math.nan
 
 
 def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
@@ -148,7 +152,7 @@ def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
     return [l * ib < L * R for l in range(1, L + 1)]
 
 
-def short_counts(
+def stop_counts(
     cfg: RatelessConfig,
     eta: SnrPoint,
     R: float,
@@ -160,15 +164,15 @@ def short_counts(
     chunk: int = rng.DEFAULT_CHUNK,
     decoder=None,
 ) -> np.ndarray:
-    """The Monte Carlo kernel: counts of trials still short after each block l = 1..L.
+    """The Monte Carlo kernel: the stop histogram, trials stopping at blocks 1..L then outages.
 
     Every trial of substream (seed, stream) draws 2MN uniforms for its
     fading matrix, and that one draw serves all l. A decoder riding along
     reserves `decoder.lead` uniforms before them and `decoder.trail` after;
     it is called per chunk as decoder(u, h, short) with the uniforms, the
     channel entries and the still-short masks, and its count vector is
-    appended to the result. The counts do not depend on the chunk size
-    or the worker count.
+    appended to the L + 1 stop counts. The counts do not depend on the
+    chunk size or the worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -182,10 +186,12 @@ def short_counts(
         u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
         h = rng.complex_normals(u[:, lead : lead + n_h])
         short = still_short(block_info(h, eta_lin, M, N), R, L)
-        counts = np.array([np.count_nonzero(s) for s in short], dtype=np.int64)
+        # nested masks: the drop in the short count at block l is the trials that stop there
+        left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
+        stops = -np.diff(left)
         if decoder is None:
-            return counts
-        return np.concatenate((counts, decoder(u, h, short)))
+            return stops
+        return np.concatenate((stops, decoder(u, h, short)))
 
     # integer sums, so the result is exact in any order
     return np.sum(rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers), axis=0)
@@ -194,11 +200,6 @@ def short_counts(
 def binomial_stderr(p, n: int):
     """Standard error sqrt(p (1 - p) / n) of a binomial proportion p over n trials."""
     return np.sqrt(p * (1.0 - p) / n)
-
-
-def stop_histogram(short: np.ndarray, trials: int) -> np.ndarray:
-    """Stops at blocks 1..L, then outages, from short[l - 1] = trials still short after block l."""
-    return -np.diff(np.concatenate(([trials], short, [0])))
 
 
 def outage_record(
@@ -221,26 +222,15 @@ def outage_record(
     """
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
-    return SnrRecord(eta=eta, R=R, stop_hist=stop_histogram(counts, trials))
+    stops = stop_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
+    return SnrRecord(eta=eta, R=R, stop_hist=stops)
 
 
-def effective_rate(
-    R: float, L: int, p: Sequence[float], eta: Optional[SnrPoint] = None
-) -> EffectiveRate:
-    """Average per-message rate R * L / sum_{l=0}^{L-1} p(l) from p(0..L).
-
-    r_hat = r_bar / log2(eta) is attached when eta is given; it is NaN
-    at 0 dB, where log2(eta) = 0.
-    """
+def effective_rate(R: float, L: int, p: Sequence[float]) -> float:
+    """Average per-message rate r_bar = R * L / sum_{l=0}^{L-1} p(l) from p(0..L)."""
     if len(p) < L:
         raise ValueError(f"p has {len(p)} entries, need at least L={L}")
-    denom = float(np.sum(p[:L]))
-    r_bar = R * L / denom
-    r_hat = None
-    if eta is not None:
-        r_hat = r_bar / eta.log2_eta if eta.log2_eta else math.nan
-    return EffectiveRate(r_bar=r_bar, r_hat=r_hat)
+    return R * L / float(np.sum(p[:L]))
 
 
 def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> float:
@@ -300,11 +290,11 @@ def write_experiment_csv(
     """Rows `eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed`, one per (SNR, l)."""
     write_csv_header(out, "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed", metadata)
     for rec in records:
-        p_hat, stderr, rate = rec.p_hat, rec.stderr, rec.rate
+        p_hat, stderr, r_bar, r_hat = rec.p_hat, rec.stderr, rec.r_bar, rec.r_hat
         for l in range(len(p_hat)):
             out.write(
                 f"{format_sig12(rec.eta.eta_db)},{l},"
                 f"{format_sig12(p_hat[l])},{format_sig12(stderr[l])},"
-                f"{rec.trials},{format_sig12(rate.r_bar)},"
-                f"{format_sig12(rate.r_hat)},{seed}\n"
+                f"{rec.trials},{format_sig12(r_bar)},"
+                f"{format_sig12(r_hat)},{seed}\n"
             )

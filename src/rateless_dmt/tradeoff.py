@@ -8,7 +8,7 @@ the binary float); pass Fraction or str for exact decimal grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
@@ -43,7 +43,7 @@ class DmtCurve:
     scheme: str
     r_n_grid: tuple[Fraction, ...]
     points: tuple[GainPoint, ...]
-    segment_index: tuple[int, ...] = field(default=())
+    segment_index: tuple[int, ...]
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -113,10 +113,7 @@ def parallel_identical_dmt(cfg: RatelessConfig, r) -> Fraction:
 
 def parallel_iid_dmt(cfg: RatelessConfig, r) -> Fraction:
     """Diversity of L parallel channels with independent fading: L * f(r / L)."""
-    r = Fraction(r)
-    if not 0 <= r <= cfg.L * cfg.min_antennas:
-        raise ValueError(f"r must lie in [0, {cfg.L * cfg.min_antennas}], got {r}")
-    return cfg.L * tradeoff_f(cfg.M, cfg.N, r / cfg.L)
+    return cfg.L * parallel_identical_dmt(cfg, r)
 
 
 def default_r_n_grid(

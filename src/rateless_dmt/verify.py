@@ -140,11 +140,11 @@ def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
     r_n = 0.25
     R = r_n * eta.log2_eta
     p1 = simulate.siso_outage_closed_form(eta, 2 * R)
-    rhat_cf = simulate.effective_rate(R, cfg.L, [1.0, p1], eta).r_hat
+    rhat_cf = simulate.effective_rate(R, cfg.L, [1.0, p1]) / eta.log2_eta
     ok_cf = abs(rhat_cf - 0.5) <= 0.05 * 0.5 * tol_scale
 
     rec = simulate.outage_record(cfg, eta, R, _GAIN_TRIALS, seed)
-    rhat_mc = rec.rate.r_hat
+    rhat_mc = rec.r_hat
     # delta method: d r_bar / d p(1) = -R L / (1 + p(1))^2
     sigma = R * cfg.L * rec.stderr[1] / (1.0 + rec.p_hat[1]) ** 2 / eta.log2_eta
     ok_mc = abs(rhat_mc - rhat_cf) <= 3.0 * sigma * tol_scale
@@ -161,7 +161,7 @@ def check_rate_collapse(seed: int, tol_scale: float) -> tuple[bool, str]:
     r_n, L = 0.75, 2
     R = r_n * eta.log2_eta
     p1 = simulate.siso_outage_closed_form(eta, 2 * R)
-    rhat = simulate.effective_rate(R, L, [1.0, p1], eta).r_hat
+    rhat = simulate.effective_rate(R, L, [1.0, p1]) / eta.log2_eta
     target = r_n * L / 2
     ok_rate = abs(rhat - target) <= 0.10 * target * tol_scale
 

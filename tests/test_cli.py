@@ -86,10 +86,11 @@ def test_simulate_prints_slope_fit_against_analytic_limit(tmp_path, capsys):
         "--eta-db", "10,20,30,40,50,60", "--trials", "20000", "--seed", "7", "--out", str(tmp_path),
     ]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # limits f(1, 1, L r_n / l) = 1 - 0.5 / l; the fits sit a little below them at finite SNR
+    # limits f(1, 1, L r_n / l) = 1 - 0.5 / l; the fits sit a little below them at finite SNR.
+    # p(2) fits 10..40 dB only: past 40 dB fewer than 10 of the 20000 trials are short
     assert lines[1:] == [
         "  p(1): fitted slope 0.472, analytic limit 0.500",
-        "  p(2): fitted slope 0.670, analytic limit 0.750",
+        "  p(2): fitted slope 0.649, analytic limit 0.750",
     ]
 
 
@@ -97,13 +98,20 @@ def test_simulate_slope_limit_is_mimo_f_and_needs_two_cells(tmp_path, capsys):
     mimo = ["simulate", "--M", "2", "--N", "2", "--L", "2", "--r-n", "0.75", "--trials", "20000"]
     assert main(mimo + ["--eta-db", "10,15,20,25", "--seed", "7", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    # f(2, 2, 1.5) = 1 + 0.5 * (3 - 4) and f(2, 2, 0.75) = 4 + 0.75 * (1 - 4)
+    # f(2, 2, 1.5) = 1 + 0.5 * (3 - 4) and f(2, 2, 0.75) = 4 + 0.75 * (1 - 4);
+    # p(2) fits 10 and 15 dB only, the SNRs with at least 10 trials short after block 2
     assert "  p(1): fitted slope 0.223, analytic limit 0.500" in out
-    assert "  p(2): fitted slope 1.394, analytic limit 1.750" in out
+    assert "  p(2): fitted slope 0.920, analytic limit 1.750" in out
     assert main(mimo + ["--eta-db", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"  p({l}): too few usable points for a slope fit" for l in (1, 2)
     ]
+    # at r_n = 0.25, p(2) holds 1, 1 and 0 of 20000 trials at 3, 6 and 9 dB, under the 10 a fit needs
+    low = [arg if arg != "0.75" else "0.25" for arg in mimo]
+    assert main(low + ["--eta-db", "3,6,9", "--seed", "7", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  p(1): fitted slope ")  # 13, 24 and 13 events
+    assert lines[2] == "  p(2): too few usable points for a slope fit"
 
 
 def test_simulate_validates_trials(tmp_path, capsys):

@@ -141,6 +141,8 @@ def test_search_8qam_strictly_improves_on_identity():
 def test_search_single_block_returns_constellation_distance():
     code, per_prefix = search_permutation_code(L=1, bits=3)
     assert code.perms == (tuple(range(8)),)
+    # one candidate, (8!)^0, so even a budget of 1 enumerates it
+    assert search_permutation_code(L=1, bits=3, budget=1)[0].perms == code.perms
     assert per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
     assert prefix_min_products(code) == per_prefix
 
@@ -266,7 +268,7 @@ def test_trials_high_snr_concentrates_on_first_block():
     res = run_rateless_code_trials(code, SnrPoint.from_db(60.0), 50_000, seed=8)
     assert res.errors.stop_hist[0] > 0.999 * 50_000
     assert res.errors.p_e < 1e-3
-    assert res.rate.r_bar == pytest.approx(2.0, rel=1e-3)
+    assert res.r_bar == pytest.approx(2.0, rel=1e-3)
 
 
 def test_trials_rate_comes_from_codebook():

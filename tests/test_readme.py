@@ -1,4 +1,4 @@
-"""The README's CLI examples and per-subcommand flag table agree with the parser."""
+"""The README's CLI examples, per-subcommand flag table and config keys agree with the parser."""
 
 import argparse
 import re
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rateless_dmt.cli import build_parser
+from rateless_dmt.cli import CONFIG_KEYS, build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -42,3 +42,8 @@ def test_readme_flag_table_lists_each_subcommand_flag():
         for name, sub in _subcommands(build_parser()).items()
     }
     assert table == parsed
+
+
+def test_readme_config_keys_are_the_parser_keys():
+    (listed,) = re.findall(r"^Config files are flat .*? with keys (.*?);", README, flags=re.M | re.S)
+    assert re.findall(r"`(\w+)`", listed) == list(CONFIG_KEYS)

@@ -26,9 +26,8 @@ from rateless_dmt import (
 from rateless_dmt.simulate import (
     SnrRecord,
     block_info,
-    short_counts,
     still_short,
-    stop_histogram,
+    stop_counts,
     write_experiment_csv,
 )
 
@@ -37,19 +36,20 @@ SISO_L2 = RatelessConfig(1, 1, L=2)
 
 def _linear(x):
     """SnrPoint from a linear SNR."""
-    return SnrPoint(eta_linear=x, eta_db=10.0 * math.log10(x))
+    return SnrPoint.from_db(10.0 * math.log10(x))
 
 
 def test_snr_point_conversions_and_validation():
     p = SnrPoint.from_db(30.0)
+    assert p == SnrPoint(30.0)
     assert p.eta_linear == pytest.approx(1000.0)
     assert p.eta_db == 30.0 and p.log2_eta == pytest.approx(math.log2(1000.0))
     q = _linear(1000.0)
-    assert q.eta_db == pytest.approx(30.0)
-    with pytest.raises(ValueError):
-        SnrPoint(eta_linear=100.0, eta_db=10.0)
-    with pytest.raises(ValueError):
-        SnrPoint(eta_linear=-1.0, eta_db=0.0)
+    assert q.eta_db == pytest.approx(30.0) and q.eta_linear == pytest.approx(1000.0)
+    # the linear SNR must be a finite positive float: 4000 dB overflows, -4000 dB underflows
+    for db in (4000.0, -4000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^{db} dB (overflows|is not a finite positive SNR)$"):
+            SnrPoint(db)
 
 
 def test_block_mutual_info_scalar_cases():
@@ -106,7 +106,7 @@ def test_stop_rule_scale_invariance(ib_num, r_num, L, exp):
 
 
 def test_stop_rule_has_no_block_length_parameter():
-    for fn in (rateless_stop, still_short, short_counts, run_rateless_code_trials):
+    for fn in (rateless_stop, still_short, stop_counts, run_rateless_code_trials):
         assert "T" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -150,8 +150,8 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     assert np.count_nonzero(ref_hist) >= 2  # the comparison sees more than one outcome
 
     # the full kernel, chunked and threaded, lands on the same histogram
-    counts = short_counts(cfg, eta, R, trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder)
-    assert stop_histogram(counts, trials).tolist() == ref_hist.tolist()
+    stops = stop_counts(cfg, eta, R, trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder)
+    assert stops.tolist() == ref_hist.tolist()
 
 
 def test_siso_closed_form_values_and_quadrature_oracle():
@@ -191,7 +191,7 @@ def test_outage_profile_zero_rate_never_fails():
     rec = outage_record(SISO_L2, SnrPoint.from_db(0.0), R=0.0, trials=10_000, seed=1)
     assert rec.p_hat[0] == 1.0
     assert np.all(rec.p_hat[1:] == 0.0)
-    assert math.isnan(rec.rate.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
+    assert math.isnan(rec.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
 
 
 def test_outage_profile_monotone_in_l_and_eta():
@@ -220,6 +220,8 @@ def test_outage_profile_type_rejects_bad_vectors():
     rec = SnrRecord(eta, 1.0, np.array([5, 3, 2]))
     assert rec.trials == 10 and rec.L == 2
     assert rec.p_hat.tolist() == [1.0, 0.5, 0.2]
+    assert rec.r_bar == pytest.approx(1.0 * 2 / 1.5)  # R L / (p(0) + p(1))
+    assert rec.r_hat == pytest.approx(rec.r_bar / math.log2(10.0))
     # a negative count is the only way to p(0) != 1 or an increasing p
     for bad in (np.array([-1, 5, 6]), np.array([5, -1, 6]), np.array([0, 0, 0]), np.ones((2, 2), int)):
         with pytest.raises(ValueError):
@@ -227,9 +229,9 @@ def test_outage_profile_type_rejects_bad_vectors():
 
 
 def test_effective_rate_examples():
-    assert effective_rate(1.0, 2, [1.0, 0.0]).r_bar == pytest.approx(2.0)
-    assert effective_rate(1.0, 2, [1.0, 1.0]).r_bar == pytest.approx(1.0)
-    assert effective_rate(1.0, 3, [1.0, 0.5, 0.25]).r_bar == pytest.approx(12.0 / 7.0)
+    assert effective_rate(1.0, 2, [1.0, 0.0]) == pytest.approx(2.0)
+    assert effective_rate(1.0, 2, [1.0, 1.0]) == pytest.approx(1.0)
+    assert effective_rate(1.0, 3, [1.0, 0.5, 0.25]) == pytest.approx(12.0 / 7.0)
 
 
 @given(
@@ -240,7 +242,7 @@ def test_effective_rate_bounds(R, tail):
     # any probabilities in [0, 1] after p(0) = 1 keep R <= r_bar <= L R
     p = [1.0] + sorted(tail, reverse=True)
     L = len(p)
-    r_bar = effective_rate(R, L, p).r_bar
+    r_bar = effective_rate(R, L, p)
     assert R <= r_bar + 1e-12 * max(1.0, R)
     assert r_bar <= L * R + 1e-12 * max(1.0, L * R)
 
@@ -290,7 +292,7 @@ def test_experiment_effective_gain_doubles_at_low_gain():
     (rec,) = run_rateless_experiment(
         SISO_L2, 0.25, [SnrPoint.from_db(60.0)], trials=100_000, seed=11
     )
-    assert abs(rec.rate.r_hat - 0.5) <= 0.05 * 0.5
+    assert abs(rec.r_hat - 0.5) <= 0.05 * 0.5
 
 
 def test_experiment_saturated_gain_trend():
@@ -300,7 +302,7 @@ def test_experiment_saturated_gain_trend():
     for eta in etas:
         R = 1.5 * eta.log2_eta
         p = siso_outage_profile(eta, R, 2)
-        r_hats.append(effective_rate(R, 2, p, eta).r_hat)
+        r_hats.append(effective_rate(R, 2, p) / eta.log2_eta)
     assert np.all(np.diff(np.abs(np.array(r_hats) - 1.5)) <= 0)
     assert r_hats[-1] == pytest.approx(1.5, rel=1e-6)
     (rec,) = run_rateless_experiment(SISO_L2, 1.5, [SnrPoint.from_db(40.0)], 50_000, seed=2)

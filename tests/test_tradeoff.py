@@ -160,6 +160,8 @@ def test_parallel_examples():
     assert parallel_iid_dmt(c13, 3) == 0
     with pytest.raises(ValueError):
         parallel_identical_dmt(c22, 5)
+    with pytest.raises(ValueError):
+        parallel_iid_dmt(c22, 5)
 
 
 @given(rateless_configs, gains)
