@@ -38,7 +38,6 @@ from .tradeoff import (
     rateless_dmt_point,
     rateless_segment,
     tradeoff_f,
-    write_curves_csv,
 )
 
 __version__ = "0.1.0"

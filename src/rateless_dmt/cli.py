@@ -3,9 +3,10 @@
 Subcommands: `dmt`, `simulate`, `codes`, `verify`, each with only the
 flags it reads. Options may come from a flat key=value config file
 (`--config`); every key may appear in any file, and command-line flags
-override file values. Every emitted CSV embeds the effective
-configuration as `#` comment lines, so outputs are reproducible
-byte-for-byte from (config, seed, tool version). `simulate` also prints
+override file values. This module is the one CSV writer: every emitted
+CSV embeds the effective configuration as `#` comment lines, so outputs
+are reproducible byte-for-byte from (config, seed, tool version); the
+computation modules return results and write no CSV. `simulate` also prints
 the fitted diversity slope of each p(l) beside its analytic limit.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
 error.
@@ -151,10 +152,23 @@ def _open_out(out_dir: str, name: str):
     return path / name
 
 
-def _metadata(mode: str, pairs: dict) -> dict:
-    meta = {"mode": mode, "tool_version": __version__}
-    meta.update(pairs)
-    return meta
+def _cell(x) -> str:
+    """A CSV cell: a float (numpy's float64 is one) with 12 significant digits, else str(x)."""
+    return format(x, ".12g") if isinstance(x, float) else str(x)
+
+
+def _write_csv(out_dir: str, name: str, mode: str, meta: dict, columns: str, rows) -> Path:
+    """Write sorted `# key=value` lines (a list value comma-separated), the column row, the rows."""
+    meta = {**meta, "mode": mode, "tool_version": __version__}
+    path = _open_out(out_dir, name)
+    with open(path, "w", newline="") as f:
+        for key in sorted(meta):
+            cells = meta[key] if isinstance(meta[key], list) else [meta[key]]
+            f.write(f"# {key}={','.join(map(_cell, cells))}\n")
+        f.write(columns + "\n")
+        for row in rows:
+            f.write(",".join(map(_cell, row)) + "\n")
+    return path
 
 
 def cmd_dmt(args: argparse.Namespace) -> int:
@@ -164,10 +178,15 @@ def cmd_dmt(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     grid = tradeoff.default_r_n_grid(cfg, args.per_segment)
     curves = tradeoff.dmt_curves(cfg, grid)
-    path = _open_out(args.out, "dmt_curves.csv")
-    meta = _metadata("dmt", {"M": cfg.M, "N": cfg.N, "L": cfg.L, "per_segment": args.per_segment})
-    with open(path, "w", newline="") as f:
-        tradeoff.write_curves_csv(f, curves, exact=args.exact, metadata=meta)
+    # `--exact` appends p/q columns so the rational values survive the decimal rendering
+    exact = ",r_n_exact,r_exact,d_exact" if args.exact else ""
+    rows = (
+        (float(r_n), l, float(pt.r), float(pt.d), curve.scheme) + ((r_n, pt.r, pt.d) if exact else ())
+        for curve in curves
+        for r_n, l, pt in zip(curve.r_n_grid, curve.segment_index, curve.points)
+    )
+    meta = {"M": cfg.M, "N": cfg.N, "L": cfg.L, "per_segment": args.per_segment}
+    path = _write_csv(args.out, "dmt_curves.csv", "dmt", meta, "r_n,l,r,d,scheme" + exact, rows)
     print(f"wrote {path} ({len(grid)} grid points x 4 schemes) in {time.perf_counter() - start:.2f}s")
     return 0
 
@@ -189,21 +208,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     start = time.perf_counter()
     records = simulate.run_rateless_experiment(cfg, float(r_n), etas, trials, seed, workers=workers)
-    path = _open_out(args.out, "simulate_results.csv")
-    meta = _metadata(
-        "simulate",
-        {
-            "M": cfg.M,
-            "N": cfg.N,
-            "L": cfg.L,
-            "r_n": r_n,
-            "eta_db_list": ",".join(tradeoff.format_sig12(eta.eta_db) for eta in etas),
-            "trials": trials,
-            "seed": seed,
-        },
+    rows = (
+        (rec.eta.eta_db, l, rec.p_hat[l], rec.stderr[l], rec.trials, rec.r_bar, rec.r_hat, seed)
+        for rec in records
+        for l in range(rec.L + 1)
     )
-    with open(path, "w", newline="") as f:
-        simulate.write_experiment_csv(f, records, seed, metadata=meta)
+    meta = {"M": cfg.M, "N": cfg.N, "L": cfg.L, "r_n": r_n}
+    meta.update(eta_db_list=[eta.eta_db for eta in etas], trials=trials, seed=seed)
+    columns = "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed"
+    path = _write_csv(args.out, "simulate_results.csv", "simulate", meta, columns, rows)
     print(f"wrote {path} ({len(records)} SNR points) in {time.perf_counter() - start:.2f}s")
     for l in range(1, cfg.L + 1):
         short = [int(rec.stop_hist[l:].sum()) for rec in records]  # still short after block l
@@ -214,6 +227,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         slope = simulate.diversity_slope(
             [rec.eta for rec in usable], [-math.log2(rec.p_hat[l]) for rec in usable]
         )
+        slope = round(slope, 3) + 0.0  # a slope that rounds to zero prints 0.000, not -0.000
         limit = float(tradeoff.tradeoff_f(cfg.M, cfg.N, cfg.L * r_n / l))
         print(f"  p({l}): fitted slope {slope:.3f}, analytic limit {limit:.3f}")
     return 0
@@ -258,21 +272,16 @@ def cmd_codes(args: argparse.Namespace) -> int:
     ]
     book_path = _open_out(args.out, "codebook.txt")
     permcode.save_codebook(code, str(book_path))
-    csv_path = _open_out(args.out, "code_trials.csv")
-    meta = _metadata(
-        "codes",
-        {
-            "L": code.L,
-            "bits": code.bits,
-            "R": tradeoff.format_sig12(code.bits / code.L),
-            "eta_db_list": ",".join(tradeoff.format_sig12(eta.eta_db) for eta in etas),
-            "trials": trials,
-            "seed": seed,
-            "codebook": book_path.name,
-        },
+    rows = (
+        (res.eta.eta_db, l, res.errors.joint_err[l - 1], res.errors.joint_stderr[l - 1],
+         res.errors.p_e, res.errors.cond_err_nonoutage, seed)
+        for res in results
+        for l in range(1, res.L + 1)
     )
-    with open(csv_path, "w", newline="") as f:
-        permcode.write_trials_csv(f, results, seed, metadata=meta)
+    meta = {"L": code.L, "bits": code.bits, "R": code.bits / code.L, "codebook": book_path.name}
+    meta.update(eta_db_list=[eta.eta_db for eta in etas], trials=trials, seed=seed)
+    columns = "eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed"
+    csv_path = _write_csv(args.out, "code_trials.csv", "codes", meta, columns, rows)
     print(f"wrote {book_path} and {csv_path} in {time.perf_counter() - start:.2f}s")
     return 0
 

@@ -15,14 +15,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import rng, simulate
 from .configs import RatelessConfig
 from .simulate import SnrPoint, SnrRecord, binomial_stderr
-from .tradeoff import format_sig12, write_csv_header
 
 MAX_BITS = 8
 
@@ -411,24 +410,3 @@ def parse_codebook(text: str) -> PermutationCode:
 def load_codebook(path: str) -> PermutationCode:
     with open(path, "r", newline="") as f:
         return parse_codebook(f.read())
-
-
-def write_trials_csv(
-    out: IO[str],
-    results: Sequence[CodeTrialResult],
-    seed: int,
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Rows `eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed`."""
-    write_csv_header(out, "eta_db,l,joint_err,stderr,p_e,cond_err_nonoutage,seed", metadata)
-    for res in results:
-        err = res.errors
-        joint_stderr, p_e, cond = err.joint_stderr, err.p_e, err.cond_err_nonoutage
-        for l in range(1, len(err.joint_err) + 1):
-            out.write(
-                f"{format_sig12(res.eta.eta_db)},{l},"
-                f"{format_sig12(err.joint_err[l - 1])},"
-                f"{format_sig12(joint_stderr[l - 1])},"
-                f"{format_sig12(p_e)},"
-                f"{format_sig12(cond)},{seed}\n"
-            )

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .configs import RatelessConfig
-from .tradeoff import format_sig12, write_csv_header
 
 _LN2 = math.log(2.0)
 
@@ -279,22 +278,3 @@ def run_rateless_experiment(
         )
         for i, eta in enumerate(eta_grid)
     ]
-
-
-def write_experiment_csv(
-    out: IO[str],
-    records: Sequence[SnrRecord],
-    seed: int,
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Rows `eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed`, one per (SNR, l)."""
-    write_csv_header(out, "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed", metadata)
-    for rec in records:
-        p_hat, stderr, r_bar, r_hat = rec.p_hat, rec.stderr, rec.r_bar, rec.r_hat
-        for l in range(len(p_hat)):
-            out.write(
-                f"{format_sig12(rec.eta.eta_db)},{l},"
-                f"{format_sig12(p_hat[l])},{format_sig12(stderr[l])},"
-                f"{rec.trials},{format_sig12(r_bar)},"
-                f"{format_sig12(r_hat)},{seed}\n"
-            )

@@ -1,16 +1,17 @@
 """Exact diversity-multiplexing tradeoff curves in rational arithmetic.
 
 Everything here is evaluated with ``fractions.Fraction`` so curve values
-are bit-exact: no floating round-off enters until CSV rendering. Floats
-are accepted as inputs but are converted verbatim (0.5 is fine, 0.1 is
-the binary float); pass Fraction or str for exact decimal grids.
+are bit-exact: no floating round-off enters until the CLI renders the
+CSV. Floats are accepted as inputs but are converted verbatim (0.5 is
+fine, 0.1 is the binary float); pass Fraction or str for exact decimal
+grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .configs import RatelessConfig
 
@@ -159,43 +160,3 @@ def dmt_curves(cfg: RatelessConfig, r_n_grid: Sequence) -> tuple[DmtCurve, ...]:
         DmtCurve(scheme, grid, tuple(points), segments if scheme == "rateless" else untagged)
         for scheme, points in zip(SCHEMES, columns)
     )
-
-
-def format_sig12(x: float) -> str:
-    """Render a float with 12 significant digits."""
-    return format(float(x), ".12g")
-
-
-def write_csv_header(out: IO[str], columns: str, metadata: Mapping[str, object] | None) -> None:
-    """Metadata as leading `# key=value` lines, sorted for byte-stable output, then the column row."""
-    if metadata:
-        for key in sorted(metadata):
-            out.write(f"# {key}={metadata[key]}\n")
-    out.write(columns + "\n")
-
-
-def write_curves_csv(
-    out: IO[str],
-    curves: Iterable[DmtCurve],
-    exact: bool = False,
-    metadata: Mapping[str, object] | None = None,
-) -> None:
-    """Write curves as CSV rows `r_n,l,r,d,scheme`.
-
-    With ``exact`` three p/q columns are appended so the rational values
-    survive the decimal rendering. Metadata keys are embedded as leading
-    `#` comment lines.
-    """
-    header = "r_n,l,r,d,scheme"
-    if exact:
-        header += ",r_n_exact,r_exact,d_exact"
-    write_csv_header(out, header, metadata)
-    for curve in curves:
-        for r_n, l, pt in zip(curve.r_n_grid, curve.segment_index, curve.points):
-            row = (
-                f"{format_sig12(float(r_n))},{l},{format_sig12(float(pt.r))},"
-                f"{format_sig12(float(pt.d))},{curve.scheme}"
-            )
-            if exact:
-                row += f",{r_n},{pt.r},{pt.d}"
-            out.write(row + "\n")

@@ -9,7 +9,6 @@ statistical tolerances (not the exactness checks, which have none).
 
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -285,49 +284,33 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
     )
 
 
-def _profile_bytes(cfg, eta, R, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> bytes:
-    rec = simulate.outage_record(cfg, eta, R, trials, seed, workers=workers, chunk=chunk)
-    buf = io.StringIO()
-    simulate.write_experiment_csv(buf, [rec], seed)
-    return buf.getvalue().encode()
-
-
-def _code_bytes(code, eta, trials, seed, workers, chunk=rng.DEFAULT_CHUNK) -> bytes:
-    res = permcode.run_rateless_code_trials(code, eta, trials, seed, workers=workers, chunk=chunk)
-    buf = io.StringIO()
-    permcode.write_trials_csv(buf, [res], seed)
-    return buf.getvalue().encode()
+def _all_equal(runs: list[np.ndarray]) -> bool:
+    return all(np.array_equal(runs[0], run) for run in runs[1:])
 
 
 def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """Reruns and thread-count changes leave every serialized result byte-identical."""
+    """Reruns and thread-count changes leave every result's counts identical.
+
+    The counts are stop_hist, plus err_counts for code trials; the CLI
+    renders every CSV byte from them and the run's inputs alone.
+    """
     cfg = RatelessConfig(1, 1, L=2)
-    eta = SnrPoint.from_db(10.0)
-    base = _profile_bytes(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=1)
-    same = _profile_bytes(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=1)
-    threaded = _profile_bytes(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=4, chunk=1 << 12)
-    ok_profile = base == same == threaded
-
+    eta, eta30 = SnrPoint.from_db(10.0), SnrPoint.from_db(30.0)
+    ok_profile = _all_equal([
+        simulate.outage_record(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=w, chunk=c).stop_hist
+        for w, c in ((1, rng.DEFAULT_CHUNK), (1, rng.DEFAULT_CHUNK), (4, 1 << 12))
+    ])
     code, _ = permcode.search_permutation_code(L=2, bits=2)
-    eta30 = SnrPoint.from_db(30.0)
-    cbase = _code_bytes(code, eta30, _CODE_TRIALS, seed, workers=1)
-    csame = _code_bytes(code, eta30, _CODE_TRIALS, seed, workers=1)
-    cthreaded = _code_bytes(code, eta30, _CODE_TRIALS, seed, workers=4, chunk=1 << 13)
-    ok_code = cbase == csame == cthreaded
-
-    recs1 = simulate.run_rateless_experiment(
-        cfg, 0.25, [SnrPoint.from_db(d) for d in (20.0, 30.0)], _GAIN_TRIALS, seed, workers=1
-    )
-    recs2 = simulate.run_rateless_experiment(
-        cfg, 0.25, [SnrPoint.from_db(d) for d in (20.0, 30.0)], _GAIN_TRIALS, seed, workers=2
-    )
-    bufs = []
-    for recs in (recs1, recs2):
-        buf = io.StringIO()
-        simulate.write_experiment_csv(buf, recs, seed)
-        bufs.append(buf.getvalue().encode())
-    ok_exp = bufs[0] == bufs[1]
-
+    code_runs = [
+        permcode.run_rateless_code_trials(code, eta30, _CODE_TRIALS, seed, workers=w, chunk=c)
+        for w, c in ((1, rng.DEFAULT_CHUNK), (1, rng.DEFAULT_CHUNK), (4, 1 << 13))
+    ]
+    ok_code = _all_equal([np.concatenate((res.stop_hist, res.err_counts)) for res in code_runs])
+    etas = [SnrPoint.from_db(d) for d in (20.0, 30.0)]
+    experiments = [
+        simulate.run_rateless_experiment(cfg, 0.25, etas, _GAIN_TRIALS, seed, workers=w) for w in (1, 2)
+    ]
+    ok_exp = _all_equal([np.stack([rec.stop_hist for rec in recs]) for recs in experiments])
     return (
         ok_profile and ok_code and ok_exp,
         f"profile rerun/threads {'ok' if ok_profile else 'DIFF'}, "

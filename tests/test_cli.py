@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: files, exit codes, determinism, validation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from rateless_dmt import siso_outage_closed_form, SnrPoint
 from rateless_dmt.cli import main
 from rateless_dmt.permcode import codebook_text, identity_code, load_codebook, prefix_min_products
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _read_rows(path):
@@ -63,6 +66,22 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["simulate", "--M", "2", "--N", "2", "--L", "2", "--r-n", "0.25"], "simulate_results.csv"),
+        (["codes", "--codebook", str(GOLDEN / "codes_searched_b2" / "codebook.txt")], "code_trials.csv"),
+    ],
+    ids=["simulate", "codes"],
+)
+def test_csv_bytes_do_not_depend_on_workers(tmp_path, argv, csv):
+    # 140000 trials are three chunks of at most 2^16, so three workers share them
+    run = argv + ["--eta-db", "10,20", "--trials", "140000", "--seed", "5"]
+    for workers in (1, 3):
+        assert main(run + ["--workers", str(workers), "--out", str(tmp_path / str(workers))]) == 0
+    assert (tmp_path / "1" / csv).read_bytes() == (tmp_path / "3" / csv).read_bytes()
+
+
 def test_simulate_matches_closed_form(tmp_path):
     assert main([
         "simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25",
@@ -110,7 +129,7 @@ def test_simulate_slope_limit_is_mimo_f_and_needs_two_cells(tmp_path, capsys):
     low = [arg if arg != "0.75" else "0.25" for arg in mimo]
     assert main(low + ["--eta-db", "3,6,9", "--seed", "7", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("  p(1): fitted slope ")  # 13, 24 and 13 events
+    assert lines[1] == "  p(1): fitted slope 0.000, analytic limit 2.500"  # 13, 24 and 13 events; not -0.000
     assert lines[2] == "  p(2): too few usable points for a slope fit"
 
 

@@ -19,6 +19,7 @@ _CODES = ["--L", "2", "--eta-db", "20,30,40", "--trials", "20000", "--seed", "7"
 
 CASES = {
     "dmt_2x2_L2_exact": ["dmt", "--M", "2", "--N", "2", "--L", "2", "--exact", "--per-segment", "16"],
+    "dmt_3x3_L4": ["dmt", "--M", "3", "--N", "3", "--L", "4", "--per-segment", "4"],
     "simulate_1x1_L2": ["simulate", "--M", "1", "--N", "1", *_OUTAGE],
     "simulate_2x2_L2": ["simulate", "--M", "2", "--N", "2", *_OUTAGE],
     "codes_searched_b2": ["codes", "--bits", "2", *_CODES],

@@ -1,7 +1,6 @@
 """Channel Monte Carlo: the kernel against scalar oracles, stopping rule, rates, slopes."""
 
 import inspect
-import io
 import math
 
 import numpy as np
@@ -23,12 +22,12 @@ from rateless_dmt import (
     siso_outage_closed_form,
     siso_outage_neg_log2,
 )
+from rateless_dmt.cli import main
 from rateless_dmt.simulate import (
     SnrRecord,
     block_info,
     still_short,
     stop_counts,
-    write_experiment_csv,
 )
 
 SISO_L2 = RatelessConfig(1, 1, L=2)
@@ -309,19 +308,19 @@ def test_experiment_saturated_gain_trend():
     assert rec.p_hat[1] > 0.999  # first level undecodable at high SNR
 
 
-def test_experiment_records_and_csv_are_deterministic():
-    etas = [SnrPoint.from_db(d) for d in (20.0, 30.0)]
+def test_experiment_records_and_csv_are_deterministic(tmp_path):
+    argv = ["simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25", "--eta-db", "20,30"]
+    argv += ["--trials", "30000", "--seed", "9"]
     outs = []
     for workers in (1, 3):
-        recs = run_rateless_experiment(SISO_L2, 0.25, etas, 30_000, seed=9, workers=workers)
-        buf = io.StringIO()
-        write_experiment_csv(buf, recs, seed=9, metadata={"case": "t"})
-        outs.append(buf.getvalue())
+        out = tmp_path / f"w{workers}"
+        assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+        outs.append((out / "simulate_results.csv").read_text())
     assert outs[0] == outs[1]
     lines = outs[0].splitlines()
-    assert lines[0] == "# case=t"
-    assert lines[1] == "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed"
-    assert len(lines) == 2 + 2 * 3  # two SNR points, l = 0..2 each
+    assert lines[3] == "# eta_db_list=20,30"
+    assert lines[9] == "eta_db,l,p_hat,stderr,trials,r_bar,r_hat,seed"
+    assert len(lines) == 10 + 2 * 3  # two SNR points, l = 0..2 each
 
 
 def test_experiment_rejects_bad_args():

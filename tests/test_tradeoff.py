@@ -1,6 +1,5 @@
 """Exact-arithmetic tests for the tradeoff curves."""
 
-import io
 from fractions import Fraction as F
 
 import pytest
@@ -18,8 +17,8 @@ from rateless_dmt import (
     rateless_dmt_point,
     rateless_segment,
     tradeoff_f,
-    write_curves_csv,
 )
+from rateless_dmt.cli import main
 from rateless_dmt.tradeoff import SCHEMES
 
 antenna_counts = st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
@@ -251,20 +250,19 @@ def test_curve_type_rejects_bad_shapes():
         )
 
 
-def test_csv_export_format_and_exact_columns():
-    cfg = RatelessConfig(2, 2, L=2)
-    grid = [0, F(1, 3), F(1, 2)]
-    rateless, conventional, _, par = dmt_curves(cfg, grid)
-    buf = io.StringIO()
-    write_curves_csv(buf, [rateless, conventional, par], exact=True, metadata={"M": 2})
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# M=2"
-    assert lines[1] == "r_n,l,r,d,scheme,r_n_exact,r_exact,d_exact"
-    row = lines[3].split(",")  # r_n = 1/3 of the rateless curve
+def test_csv_export_format_and_exact_columns(tmp_path):
+    # the grid steps by 1/6, so it holds r_n = 1/3 and 1/2
+    argv = ["dmt", "--M", "2", "--N", "2", "--L", "2", "--exact", "--per-segment", "6"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "dmt_curves.csv").read_text().splitlines()
+    assert lines[1] == "# M=2"
+    assert lines[6] == "r_n,l,r,d,scheme,r_n_exact,r_exact,d_exact"
+    row = lines[9].split(",")  # r_n = 1/3 of the rateless curve
     assert row[0] == "0.333333333333"
     assert row[1] == "1"
     assert row[4] == "rateless"
     assert F(row[5]) == F(1, 3) and F(row[6]) == F(2, 3)
     # exact columns reconstruct the rational values bit-for-bit
-    assert F(row[7]) == tradeoff_f(cfg.M, cfg.N, F(1, 3))
+    assert F(row[7]) == tradeoff_f(2, 2, F(1, 3))
     assert any(line.endswith("parallel_iid,1/2,1,5") for line in lines)
+    assert len(lines) == 7 + 4 * 13  # metadata, header, 13 grid points per scheme
