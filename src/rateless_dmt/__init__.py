@@ -24,18 +24,14 @@ from .simulate import (
     diversity_slope,
     effective_rate,
     outage_record,
+    rank_one_outage,
     run_rateless_experiment,
-    siso_outage_closed_form,
-    siso_outage_neg_log2,
 )
 from .tradeoff import (
     DmtCurve,
     GainPoint,
     default_r_n_grid,
     dmt_curves,
-    parallel_identical_dmt,
-    parallel_iid_dmt,
-    rateless_dmt_point,
     rateless_segment,
     tradeoff_f,
 )

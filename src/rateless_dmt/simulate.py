@@ -45,6 +45,7 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, eta_db: float) -> "SnrPoint":
+        """Same as SnrPoint(eta_db); kept only because perfbench/run.py calls it."""
         return cls(eta_db)
 
     @cached_property
@@ -100,32 +101,37 @@ class SnrRecord:
         return self.r_bar / self.eta.log2_eta if self.eta.log2_eta else math.nan
 
 
+def rank_one_outage(M: int, N: int, eta: SnrPoint, rate: float) -> tuple[float, float]:
+    """Exact (p, -log2 p) for p = Pr(log2 det(I + (eta/M) H H*) < rate) when min(M, N) = 1.
+
+    ||h||^2 ~ Gamma(k, 1) with k = max(M, N), so p = Pr(||h||^2 < x) at x = M (2^rate - 1) / eta.
+    Below x = k this sums the lower tail e^-x sum_{j>=k} x^j/j!; from x = k on it is 1 minus
+    the upper tail e^-x sum_{j<k} x^j/j!, and -log2 p goes through log1p, exact where p rounds to 1.
+    """
+    if min(M, N) != 1:
+        raise ValueError(f"rank-one outage needs min(M, N) = 1, got {M}x{N}")
+    if rate < 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
+    k = max(M, N)
+    x = M * (2.0**rate - 1.0) / eta.eta_linear
+    term = math.exp(-x)  # e^-x x^j / j!, from j = 0 up
+    upper = 0.0
+    for j in range(1, k + 1):
+        upper += term
+        term *= x / j
+    if x >= k:
+        return 1.0 - upper, -math.log1p(-upper) / _LN2
+    p, j = 0.0, k
+    while term > 1e-17 * p:  # the terms only shrink past j = k > x
+        p += term
+        j += 1
+        term *= x / j
+    return p, (-math.log2(p) if p > 0.0 else math.inf)
+
+
 def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
-    """Exact Pr(log2(1 + eta |h|^2) < threshold) for SISO Rayleigh fading.
-
-    |h|^2 is unit-mean exponential, so this is 1 - exp(-(2^t - 1) / eta).
-    """
-    if rate_threshold < 0:
-        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-    return -math.expm1(-(2.0**rate_threshold - 1.0) / eta.eta_linear)
-
-
-def siso_outage_neg_log2(eta: SnrPoint, rate_threshold: float) -> float:
-    """-log2 of the SISO outage probability, stable where p rounds to 1.
-
-    For large (2^t - 1) / eta the probability is 1 minus a sub-epsilon
-    sliver, unrepresentable in binary64; the exponent is still exact via
-    exp/log1p.
-    """
-    if rate_threshold < 0:
-        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-    x = (2.0**rate_threshold - 1.0) / eta.eta_linear
-    if x == 0.0:
-        return math.inf  # p = 0, infinite exponent
-    t = math.exp(-x)
-    if t >= 1.0:
-        return math.inf
-    return -math.log1p(-t) / _LN2
+    """SISO outage probability; perfbench/run.py imports this name."""
+    return rank_one_outage(1, 1, eta, rate_threshold)[0]
 
 
 def block_info(h: np.ndarray, eta_linear: float, M: int, N: int) -> np.ndarray:
@@ -236,8 +242,8 @@ def diversity_slope(etas: Sequence[SnrPoint], neg_log2_p: Sequence[float]) -> fl
     """OLS slope of -log2(p) against log2(eta).
 
     Takes the exponents rather than the probabilities, so points where p
-    itself rounds to 1 (e.g. from :func:`siso_outage_neg_log2`) still
-    fit. At least two finite points with distinct SNR are required.
+    itself rounds to 1 (e.g. the exponent of :func:`rank_one_outage`)
+    still fit. At least two finite points with distinct SNR are required.
     """
     if len(etas) != len(neg_log2_p):
         raise ValueError("etas and neg_log2_p must have equal length")

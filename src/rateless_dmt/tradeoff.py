@@ -89,34 +89,6 @@ def rateless_segment(cfg: RatelessConfig, r_n) -> Optional[int]:
     return int(r_n * cfg.L / m) + 1
 
 
-def rateless_dmt_point(cfg: RatelessConfig, r_n) -> GainPoint:
-    """Effective (r, d) of the rateless scheme at per-level gain r_n.
-
-    On segment l the effective gain is r = r_n * L / l with diversity
-    d = f(l * r / L); past min(M, N) diversity is zero and the reported
-    gain is clamped to min(M, N).
-    """
-    r_n = Fraction(r_n)
-    seg = rateless_segment(cfg, r_n)
-    if seg is None:
-        return GainPoint(r=Fraction(cfg.min_antennas), d=Fraction(0))
-    r = r_n * cfg.L / seg
-    return GainPoint(r=r, d=tradeoff_f(cfg.M, cfg.N, seg * r / cfg.L))
-
-
-def parallel_identical_dmt(cfg: RatelessConfig, r) -> Fraction:
-    """Diversity of L parallel channels sharing one fading matrix: f(r / L)."""
-    r = Fraction(r)
-    if not 0 <= r <= cfg.L * cfg.min_antennas:
-        raise ValueError(f"r must lie in [0, {cfg.L * cfg.min_antennas}], got {r}")
-    return tradeoff_f(cfg.M, cfg.N, r / cfg.L)
-
-
-def parallel_iid_dmt(cfg: RatelessConfig, r) -> Fraction:
-    """Diversity of L parallel channels with independent fading: L * f(r / L)."""
-    return cfg.L * parallel_identical_dmt(cfg, r)
-
-
 def default_r_n_grid(
     cfg: RatelessConfig, points_per_segment: int = DEFAULT_POINTS_PER_SEGMENT
 ) -> tuple[Fraction, ...]:
@@ -140,21 +112,26 @@ def default_r_n_grid(
 def dmt_curves(cfg: RatelessConfig, r_n_grid: Sequence) -> tuple[DmtCurve, ...]:
     """The tradeoff curves of all four schemes over one r_n grid, in SCHEMES order.
 
-    The rateless curve tags each point with its segment (0 on the
-    zero-diversity tail). The conventional curve evaluates f(r_n)
-    directly, zero past min(M, N), so it covers the whole grid for
-    side-by-side comparison. The parallel-channel baselines are plotted
-    at r = L * r_n.
+    Every column is built from f(r_n). On rateless segment l the effective
+    gain is r = L r_n / l with d = f(l r / L) = f(r_n); the zero-diversity
+    tail r_n = min(M, N) is pinned to (min(M, N), 0) and tagged segment 0.
+    The conventional curve is (r_n, f(r_n)). The parallel-channel
+    baselines sit at r = L r_n, with d = f(r_n) for one shared fading
+    matrix and L f(r_n) for independent ones. A grid point past min(M, N)
+    raises ValueError.
     """
     grid = tuple(Fraction(g) for g in r_n_grid)  # DmtCurve rejects an unsorted grid
-    L = cfg.L
-    columns = (
-        [rateless_dmt_point(cfg, r_n) for r_n in grid],
-        [GainPoint(r=r_n, d=tradeoff_f(cfg.M, cfg.N, r_n)) for r_n in grid],
-        [GainPoint(r=L * r_n, d=parallel_identical_dmt(cfg, L * r_n)) for r_n in grid],
-        [GainPoint(r=L * r_n, d=parallel_iid_dmt(cfg, L * r_n)) for r_n in grid],
-    )
+    M, N, L, m = cfg.M, cfg.N, cfg.L, Fraction(cfg.min_antennas)
+    if any(r_n > m for r_n in grid):
+        raise ValueError(f"r_n must lie in [0, {m}], got {max(grid)}")
     segments = tuple(rateless_segment(cfg, r_n) or 0 for r_n in grid)
+    f = [tradeoff_f(M, N, r_n) for r_n in grid]
+    columns = (
+        [GainPoint(r=L * r_n / seg if seg else m, d=d) for r_n, seg, d in zip(grid, segments, f)],
+        [GainPoint(r=r_n, d=d) for r_n, d in zip(grid, f)],
+        [GainPoint(r=L * r_n, d=d) for r_n, d in zip(grid, f)],
+        [GainPoint(r=L * r_n, d=L * d) for r_n, d in zip(grid, f)],
+    )
     untagged = (0,) * len(grid)
     return tuple(
         DmtCurve(scheme, grid, tuple(points), segments if scheme == "rateless" else untagged)

@@ -3,7 +3,8 @@
 Every check states what it measured, the tolerance it applied, and
 passes or fails on its own; the suite result is the conjunction. All
 randomized checks run from fixed default seeds so the suite is
-deterministic out of the box. ``tol_scale`` widens or tightens the
+deterministic out of the box. A Monte Carlo count with an exact oracle
+is judged by :func:`exact_cells`. ``tol_scale`` widens or tightens the
 statistical tolerances (not the exactness checks, which have none).
 """
 
@@ -23,6 +24,8 @@ from .simulate import SnrPoint
 
 DEFAULT_SEED = 1009
 
+FAMILY_ALPHA = 1e-5  # chance that correct code fails one check's exact cells
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -41,6 +44,35 @@ def _interval(lo: float, hi: float, tol_scale: float) -> tuple[float, float]:
     center = (lo + hi) / 2.0
     half = (hi - lo) / 2.0 * tol_scale
     return center - half, center + half
+
+
+def binom_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided p-value of k events in n trials: twice the smaller tail, capped at 1.
+
+    The tail on the far side of the mean from k is summed outward from k, where its terms shrink.
+    """
+    if not 0.0 < p < 1.0:
+        return 1.0 if k == n * p else 0.0
+    tail = 0.0
+    for j in range(k, n + 1) if k >= n * p else range(k, -1, -1):
+        log_comb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        term = math.exp(log_comb + j * math.log(p) + (n - j) * math.log1p(-p))
+        tail += term
+        if term <= 1e-17 * tail:
+            break
+    return min(1.0, 2.0 * tail)
+
+
+def exact_cells(cells: list[tuple[str, int, int, float]], tol_scale: float) -> tuple[bool, str]:
+    """Exact test of each (name, events, trials, oracle p) cell at (FAMILY_ALPHA / n_cells) ** tol_scale.
+
+    tol_scale 1 keeps the Bonferroni family level; above 1 loosens it; near 0 only a p-value of 1 passes.
+    """
+    level = (FAMILY_ALPHA / len(cells)) ** tol_scale
+    pvals = [(binom_two_sided_p(k, n, p), name) for name, k, n, p in cells]
+    failed = [name for pval, name in pvals if pval < level]
+    detail = f"smallest exact p-value {min(pvals)[0]:.2g} ({min(pvals)[1]}) vs level {level:.2g}"
+    return not failed, detail + (f"; failed {', '.join(failed)}" if failed else "")
 
 
 def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
@@ -89,39 +121,33 @@ def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
 
 
 _ORACLE_TRIALS = 10**6
+_GAIN_TRIALS = 10**5
 
 
 def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """SISO profile estimates vs the exponential-CDF closed form, 3 sigma."""
-    cfg = RatelessConfig(1, 1, L=2)
+    """Rank-one p(l) estimates against the exact Erlang outage law, one exact test per cell."""
     R = 1.0
-    worst = 0.0
+    runs = [((1, 1), db, _ORACLE_TRIALS) for db in (0.0, 10.0, 20.0, 30.0)]
+    runs += [(mn, db, _GAIN_TRIALS) for mn in ((1, 4), (4, 1)) for db in (0.0, 5.0, 10.0)]
     cells = []
-    for i, db in enumerate((0.0, 10.0, 20.0, 30.0)):
-        eta = SnrPoint.from_db(db)
-        rec = simulate.outage_record(cfg, eta, R, _ORACLE_TRIALS, seed, stream=i)
+    for i, ((M, N), db, trials) in enumerate(runs):
+        cfg, eta = RatelessConfig(M, N, L=2), SnrPoint(db)
+        rec = simulate.outage_record(cfg, eta, R, trials, seed, stream=i)
         for l in (1, 2):
-            oracle = simulate.siso_outage_closed_form(eta, cfg.L * R / l)
-            z = abs(rec.p_hat[l] - oracle) / rec.stderr[l]
-            worst = max(worst, z)
-            cells.append(z <= 3.0 * tol_scale)
-    return (
-        all(cells),
-        f"8 cells, worst |p_hat - closed| = {worst:.2f} stderr (limit {3.0 * tol_scale:g})",
-    )
+            oracle = simulate.rank_one_outage(M, N, eta, cfg.L * R / l)[0]
+            cells.append((f"{M}x{N} {db:g}dB p({l})", int(rec.stop_hist[l:].sum()), trials, oracle))
+    ok, detail = exact_cells(cells, tol_scale)
+    return ok, f"{len(cells)} cells; {detail}"
 
 
 def check_analytic_slope(seed: int, tol_scale: float) -> tuple[bool, str]:
     """Closed-form outage exponents: slopes near 0.75 and 0.5 for r_n = 0.25."""
-    etas = [SnrPoint.from_db(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
+    etas = [SnrPoint(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
     r_n, L = 0.25, 2
     results = []
     details = []
     for l, (lo, hi) in ((2, (0.70, 0.78)), (1, (0.45, 0.53))):
-        neglog = [
-            -math.log2(simulate.siso_outage_closed_form(eta, L * r_n * eta.log2_eta / l))
-            for eta in etas
-        ]
+        neglog = [simulate.rank_one_outage(1, 1, eta, L * r_n * eta.log2_eta / l)[1] for eta in etas]
         slope = simulate.diversity_slope(etas, neglog)
         lo_s, hi_s = _interval(lo, hi, tol_scale)
         results.append(lo_s <= slope <= hi_s)
@@ -129,43 +155,36 @@ def check_analytic_slope(seed: int, tol_scale: float) -> tuple[bool, str]:
     return all(results), "; ".join(details)
 
 
-_GAIN_TRIALS = 10**5
-
-
 def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """r_hat near 0.5 for r_n = 0.25 at 60 dB, closed form and Monte Carlo."""
+    """r_hat near 0.5 for r_n = 0.25 at 60 dB; at L = 2 the Monte Carlo r_hat is monotone in p_hat(1)."""
     cfg = RatelessConfig(1, 1, L=2)
-    eta = SnrPoint.from_db(60.0)
+    eta = SnrPoint(60.0)
     r_n = 0.25
     R = r_n * eta.log2_eta
-    p1 = simulate.siso_outage_closed_form(eta, 2 * R)
+    p1 = simulate.rank_one_outage(1, 1, eta, 2 * R)[0]
     rhat_cf = simulate.effective_rate(R, cfg.L, [1.0, p1]) / eta.log2_eta
     ok_cf = abs(rhat_cf - 0.5) <= 0.05 * 0.5 * tol_scale
 
     rec = simulate.outage_record(cfg, eta, R, _GAIN_TRIALS, seed)
-    rhat_mc = rec.r_hat
-    # delta method: d r_bar / d p(1) = -R L / (1 + p(1))^2
-    sigma = R * cfg.L * rec.stderr[1] / (1.0 + rec.p_hat[1]) ** 2 / eta.log2_eta
-    ok_mc = abs(rhat_mc - rhat_cf) <= 3.0 * sigma * tol_scale
+    ok_mc, detail = exact_cells([("p(1)", int(rec.stop_hist[1:].sum()), rec.trials, p1)], tol_scale)
     return (
         ok_cf and ok_mc,
-        f"closed-form r_hat {rhat_cf:.4f} (target 0.5 within 5%), "
-        f"MC r_hat {rhat_mc:.4f} within {3.0 * tol_scale:g} sigma ({sigma:.2e})",
+        f"closed-form r_hat {rhat_cf:.4f} (target 0.5 within 5%), MC r_hat {rec.r_hat:.4f}; {detail}",
     )
 
 
 def check_rate_collapse(seed: int, tol_scale: float) -> tuple[bool, str]:
     """r_n = 0.75 >= min(M,N)/L: rate halves to the second segment, p(1) stops decaying."""
-    eta = SnrPoint.from_db(80.0)
+    eta = SnrPoint(80.0)
     r_n, L = 0.75, 2
     R = r_n * eta.log2_eta
-    p1 = simulate.siso_outage_closed_form(eta, 2 * R)
+    p1 = simulate.rank_one_outage(1, 1, eta, 2 * R)[0]
     rhat = simulate.effective_rate(R, L, [1.0, p1]) / eta.log2_eta
     target = r_n * L / 2
     ok_rate = abs(rhat - target) <= 0.10 * target * tol_scale
 
-    etas = [SnrPoint.from_db(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
-    neglog = [simulate.siso_outage_neg_log2(e, 2 * r_n * e.log2_eta) for e in etas]
+    etas = [SnrPoint(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
+    neglog = [simulate.rank_one_outage(1, 1, e, 2 * r_n * e.log2_eta)[1] for e in etas]
     slope = simulate.diversity_slope(etas, neglog)
     lo, hi = _interval(-0.05, 0.05, tol_scale)
     ok_slope = lo <= slope <= hi
@@ -186,19 +205,18 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
     L = searched.L
     failures = []
     notes = []
+    stop_cells = []
     for i, db in enumerate((20.0, 30.0, 40.0)):
-        eta = SnrPoint.from_db(db)
+        eta = SnrPoint(db)
         res_s = permcode.run_rateless_code_trials(searched, eta, _CODE_TRIALS, seed, stream=i)
         res_i = permcode.run_rateless_code_trials(ident, eta, _CODE_TRIALS, seed, stream=i)
-        # (a) stop probabilities against the closed form
+        # (a) stop probabilities against the exact outage law, tested after the loop
         for l in (1, 2):
-            oracle = simulate.siso_outage_closed_form(eta, 2.0 / l)
-            z = abs(res_s.p_hat[l] - oracle) / res_s.stderr[l]
-            if z > 3.0 * tol_scale:
-                failures.append(f"{db:g}dB p({l}) off by {z:.1f} sigma")
+            oracle = simulate.rank_one_outage(1, 1, eta, 2.0 / l)[0]
+            stop_cells.append((f"{db:g}dB p({l})", int(res_s.stop_hist[l:].sum()), res_s.trials, oracle))
         # (b) total error within a factor of 3 of the final-block outage
         if db >= 30.0:
-            p_L = simulate.siso_outage_closed_form(eta, 2.0 / L)
+            p_L = simulate.rank_one_outage(1, 1, eta, 2.0 / L)[0]
             ratio = res_s.errors.p_e / p_L
             factor = 3.0 * tol_scale
             notes.append(f"{db:g}dB P_e/p(L)={ratio:.2f}")
@@ -221,6 +239,9 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
                 f"{db:g}dB searched P_e {res_s.errors.p_e:.3e} above identity "
                 f"{res_i.errors.p_e:.3e} + {pair_slack:.1e}"
             )
+    ok_stops, stops_detail = exact_cells(stop_cells, tol_scale)
+    if not ok_stops:
+        failures.insert(0, stops_detail)
     detail = "; ".join(notes) if not failures else "; ".join(failures)
     return not failures, detail
 
@@ -250,7 +271,7 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
         if min(per_prefix) <= 0:
             return False, f"L={L} bits={bits}: non-decodable prefix"
         codes.append(code)
-    sqrt_eta = math.sqrt(SnrPoint.from_db(10.0).eta_linear)
+    sqrt_eta = math.sqrt(SnrPoint(10.0).eta_linear)
     h = np.array([0.6 - 0.35j])
     checked = 0
     for code in codes:
@@ -267,7 +288,7 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
     for _ in range(_DECODER_RANDOM_INSTANCES):
         code = codes[gen.integers(len(codes))]
         l = int(gen.integers(1, code.L + 1))
-        eta_i = SnrPoint.from_db(float(gen.uniform(0.0, 40.0)))
+        eta_i = SnrPoint(float(gen.uniform(0.0, 40.0)))
         h_i = complex(gen.normal(), gen.normal()) * math.sqrt(0.5)
         m = int(gen.integers(code.n_messages))
         noise = (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
@@ -295,7 +316,7 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     renders every CSV byte from them and the run's inputs alone.
     """
     cfg = RatelessConfig(1, 1, L=2)
-    eta, eta30 = SnrPoint.from_db(10.0), SnrPoint.from_db(30.0)
+    eta, eta30 = SnrPoint(10.0), SnrPoint(30.0)
     ok_profile = _all_equal([
         simulate.outage_record(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=w, chunk=c).stop_hist
         for w, c in ((1, rng.DEFAULT_CHUNK), (1, rng.DEFAULT_CHUNK), (4, 1 << 12))
@@ -306,7 +327,7 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
         for w, c in ((1, rng.DEFAULT_CHUNK), (1, rng.DEFAULT_CHUNK), (4, 1 << 13))
     ]
     ok_code = _all_equal([np.concatenate((res.stop_hist, res.err_counts)) for res in code_runs])
-    etas = [SnrPoint.from_db(d) for d in (20.0, 30.0)]
+    etas = [SnrPoint(d) for d in (20.0, 30.0)]
     experiments = [
         simulate.run_rateless_experiment(cfg, 0.25, etas, _GAIN_TRIALS, seed, workers=w) for w in (1, 2)
     ]

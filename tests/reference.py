@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from rateless_dmt import SnrPoint, siso_outage_closed_form
+from rateless_dmt import SnrPoint, rank_one_outage
 
 
 def block_mutual_info(H: np.ndarray, eta: SnrPoint, M: Optional[int] = None) -> float:
@@ -55,5 +55,5 @@ def siso_outage_profile(eta: SnrPoint, R: float, L: int) -> np.ndarray:
     """Closed-form p(0..L) for the SISO stopping rule at rate R."""
     p = np.ones(L + 1)
     for l in range(1, L + 1):
-        p[l] = siso_outage_closed_form(eta, L * R / l)
+        p[l] = rank_one_outage(1, 1, eta, L * R / l)[0]
     return p

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rateless_dmt import siso_outage_closed_form, SnrPoint
+from rateless_dmt import SnrPoint, rank_one_outage
 from rateless_dmt.cli import main
 from rateless_dmt.permcode import codebook_text, identity_code, load_codebook, prefix_min_products
 
@@ -88,14 +88,14 @@ def test_simulate_matches_closed_form(tmp_path):
         "--eta-db", "20", "--trials", "50000", "--seed", "4", "--out", str(tmp_path),
     ]) == 0
     rows = _read_rows(tmp_path / "simulate_results.csv")
-    eta = SnrPoint.from_db(20.0)
+    eta = SnrPoint(20.0)
     R = 0.25 * eta.log2_eta
     for row in rows:
         l = int(row["l"])
         if l == 0:
             assert float(row["p_hat"]) == 1.0
             continue
-        oracle = siso_outage_closed_form(eta, 2 * R / l)
+        oracle = rank_one_outage(1, 1, eta, 2 * R / l)[0]
         assert abs(float(row["p_hat"]) - oracle) <= 3.0 * float(row["stderr"])
 
 

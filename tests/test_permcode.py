@@ -15,8 +15,8 @@ from rateless_dmt import (
     identity_code,
     prefix_min_products,
     run_rateless_code_trials,
+    rank_one_outage,
     search_permutation_code,
-    siso_outage_closed_form,
 )
 from rateless_dmt.permcode import (
     Constellation,
@@ -199,7 +199,7 @@ def test_prefix_injectivity_where_product_distance_positive():
 
 
 def test_noiseless_decode_every_message_every_prefix():
-    eta = SnrPoint.from_db(20.0)
+    eta = SnrPoint(20.0)
     h = -0.4 + 1.1j
     for L, bits in ((1, 2), (2, 2), (3, 2), (2, 3)):
         code, _ = search_permutation_code(L, bits)
@@ -211,7 +211,7 @@ def test_noiseless_decode_every_message_every_prefix():
 
 def test_decode_zero_channel_ties_to_message_zero():
     code, _ = search_permutation_code(2, 2)
-    assert _decode(code, np.array([0.1 + 0j, -0.2 + 0j]), 0.0, SnrPoint.from_db(10.0)) == 0
+    assert _decode(code, np.array([0.1 + 0j, -0.2 + 0j]), 0.0, SnrPoint(10.0)) == 0
 
 
 def _brute_force_decode(code, y, h, eta):
@@ -232,7 +232,7 @@ def test_decode_agrees_with_plain_python_oracle():
     gen = np.random.Generator(np.random.PCG64(123))
     for _ in range(1000):
         l = int(gen.integers(1, 3))
-        eta = SnrPoint.from_db(float(gen.uniform(0, 35)))
+        eta = SnrPoint(float(gen.uniform(0, 35)))
         h = complex(gen.normal(), gen.normal()) * math.sqrt(0.5)
         m = int(gen.integers(8))
         y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:l, m]
@@ -243,10 +243,10 @@ def test_decode_agrees_with_plain_python_oracle():
 
 def test_trials_stop_probabilities_match_closed_form():
     code, _ = search_permutation_code(2, 2)
-    eta = SnrPoint.from_db(20.0)
+    eta = SnrPoint(20.0)
     res = run_rateless_code_trials(code, eta, 200_000, seed=31)
     for l in (1, 2):
-        oracle = siso_outage_closed_form(eta, 2.0 / l)
+        oracle = rank_one_outage(1, 1, eta, 2.0 / l)[0]
         assert abs(res.p_hat[l] - oracle) <= 3.0 * res.stderr[l]
     assert res.errors.stop_hist.sum() == 200_000
     assert res.errors.p_e == pytest.approx(float(np.sum(res.errors.joint_err)))
@@ -265,7 +265,7 @@ def test_error_decomposition_derives_estimates_from_counts():
 
 def test_trials_high_snr_concentrates_on_first_block():
     code, _ = search_permutation_code(2, 2)
-    res = run_rateless_code_trials(code, SnrPoint.from_db(60.0), 50_000, seed=8)
+    res = run_rateless_code_trials(code, SnrPoint(60.0), 50_000, seed=8)
     assert res.errors.stop_hist[0] > 0.999 * 50_000
     assert res.errors.p_e < 1e-3
     assert res.r_bar == pytest.approx(2.0, rel=1e-3)
@@ -274,7 +274,7 @@ def test_trials_high_snr_concentrates_on_first_block():
 def test_trials_rate_comes_from_codebook():
     for L, bits in ((2, 2), (2, 3), (3, 2)):
         code = identity_code(L, bits)
-        res = run_rateless_code_trials(code, SnrPoint.from_db(20.0), 1000, seed=0)
+        res = run_rateless_code_trials(code, SnrPoint(20.0), 1000, seed=0)
         assert res.R == bits / L
 
 
@@ -282,7 +282,7 @@ def test_trials_stop_and_errors_match_scalar_reference():
     # code-trial layout per trial: message uniform, two for h, 2L for the noises
     code, _ = search_permutation_code(2, 3)
     L, n = code.L, code.n_messages
-    eta = SnrPoint.from_db(12.0)
+    eta = SnrPoint(12.0)
     R = code.bits / L
     trials, seed, stream = 3000, 13, 4
     res = run_rateless_code_trials(code, eta, trials, seed, stream=stream, chunk=500, workers=2)
@@ -311,7 +311,7 @@ def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
     searched, _ = search_permutation_code(2, 3)
     ident = identity_code(2, 3)
     for i, db in enumerate((15.0, 20.0)):
-        eta = SnrPoint.from_db(db)
+        eta = SnrPoint(db)
         res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41, stream=i)
         res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41, stream=i)
         # common random numbers: identical fading, noise, and messages
@@ -325,7 +325,7 @@ def test_conditional_error_decreases_with_snr():
     code, _ = search_permutation_code(2, 2)
     vals, prefix1 = [], []
     for i, db in enumerate((10.0, 20.0, 30.0, 40.0)):
-        res = run_rateless_code_trials(code, SnrPoint.from_db(db), 200_000, seed=17, stream=i)
+        res = run_rateless_code_trials(code, SnrPoint(db), 200_000, seed=17, stream=i)
         vals.append(res.errors.cond_err_nonoutage)
         prefix1.append(res.err_counts[0] / res.stop_hist[0])  # error given a stop at block 1
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -334,15 +334,15 @@ def test_conditional_error_decreases_with_snr():
 
 def test_decoding_error_rate_sits_below_final_outage():
     code, _ = search_permutation_code(2, 2)
-    eta = SnrPoint.from_db(30.0)
+    eta = SnrPoint(30.0)
     res = run_rateless_code_trials(code, eta, 200_000, seed=23)
-    assert res.errors.cond_err_nonoutage < siso_outage_closed_form(eta, 1.0)
+    assert res.errors.cond_err_nonoutage < rank_one_outage(1, 1, eta, 1.0)[0]
 
 
 def test_blanked_tail_blocks_leave_prefix_decoding_intact():
     # fading family where blocks past l vanish: the prefix still decodes
     code, _ = search_permutation_code(2, 2)
-    eta = SnrPoint.from_db(30.0)
+    eta = SnrPoint(30.0)
     h = 0.9 - 0.1j
     for m in range(4):
         live = math.sqrt(eta.eta_linear) * h * code.symbol_table[:1, m]  # block 2 gain is zero

@@ -16,11 +16,10 @@ from rateless_dmt import (
     diversity_slope,
     effective_rate,
     outage_record,
+    rank_one_outage,
     rng,
     run_rateless_code_trials,
     run_rateless_experiment,
-    siso_outage_closed_form,
-    siso_outage_neg_log2,
 )
 from rateless_dmt.cli import main
 from rateless_dmt.simulate import (
@@ -35,12 +34,11 @@ SISO_L2 = RatelessConfig(1, 1, L=2)
 
 def _linear(x):
     """SnrPoint from a linear SNR."""
-    return SnrPoint.from_db(10.0 * math.log10(x))
+    return SnrPoint(10.0 * math.log10(x))
 
 
 def test_snr_point_conversions_and_validation():
-    p = SnrPoint.from_db(30.0)
-    assert p == SnrPoint(30.0)
+    p = SnrPoint(30.0)
     assert p.eta_linear == pytest.approx(1000.0)
     assert p.eta_db == 30.0 and p.log2_eta == pytest.approx(math.log2(1000.0))
     q = _linear(1000.0)
@@ -54,7 +52,7 @@ def test_snr_point_conversions_and_validation():
 def test_block_mutual_info_scalar_cases():
     eta3 = _linear(3.0)
     assert block_mutual_info(np.array([[1.0 + 0j]]), eta3) == pytest.approx(2.0)
-    assert block_mutual_info(np.array([[0.0 + 0j]]), SnrPoint.from_db(50.0)) == 0.0
+    assert block_mutual_info(np.array([[0.0 + 0j]]), SnrPoint(50.0)) == 0.0
 
 
 def test_block_mutual_info_identity_2x2_against_det_oracle():
@@ -73,9 +71,9 @@ def test_block_mutual_info_identity_2x2_against_det_oracle():
 
 def test_block_mutual_info_validates_inputs():
     with pytest.raises(ValueError):
-        block_mutual_info(np.eye(2, dtype=complex), SnrPoint.from_db(0.0), M=3)
+        block_mutual_info(np.eye(2, dtype=complex), SnrPoint(0.0), M=3)
     with pytest.raises(ValueError):
-        block_mutual_info(np.array([[np.nan + 0j]]), SnrPoint.from_db(0.0))
+        block_mutual_info(np.array([[np.nan + 0j]]), SnrPoint(0.0))
 
 
 def test_stop_rule_examples():
@@ -130,7 +128,7 @@ class _CodeLayout:
 def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     # same Philox uniforms into the batched kernel and the scalar oracles
     cfg = RatelessConfig(M, N, L)
-    eta = SnrPoint.from_db(10.0)
+    eta = SnrPoint(10.0)
     trials, seed, stream = 400, 21, 3
     decoder = _CodeLayout(L) if layout == "code" else None
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
@@ -153,33 +151,53 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     assert stops.tolist() == ref_hist.tolist()
 
 
+def _siso_p(eta, thr):
+    return rank_one_outage(1, 1, eta, thr)[0]
+
+
 def test_siso_closed_form_values_and_quadrature_oracle():
     eta10 = _linear(10.0)
-    assert siso_outage_closed_form(eta10, 1.0) == pytest.approx(0.0951625819640404, abs=1e-12)
-    assert siso_outage_closed_form(eta10, 2.0) == pytest.approx(0.2591817793182821, abs=1e-12)
-    assert siso_outage_closed_form(eta10, 0.0) == 0.0
+    assert _siso_p(eta10, 1.0) == pytest.approx(0.0951625819640404, abs=1e-12)
+    assert _siso_p(eta10, 2.0) == pytest.approx(0.2591817793182821, abs=1e-12)
+    assert _siso_p(eta10, 0.0) == 0.0
     # quadrature oracle: integrate the unit-mean exponential density
     for thr in (0.5, 1.0, 3.0):
         c = (2.0**thr - 1.0) / eta10.eta_linear
         x = np.linspace(0.0, c, 20_001)
-        assert siso_outage_closed_form(eta10, thr) == pytest.approx(
-            np.trapezoid(np.exp(-x), x), abs=1e-9
-        )
+        assert _siso_p(eta10, thr) == pytest.approx(np.trapezoid(np.exp(-x), x), abs=1e-9)
 
 
 def test_siso_neg_log2_matches_probability_form_then_stays_finite():
-    eta = SnrPoint.from_db(40.0)
-    p = siso_outage_closed_form(eta, 2.0)
-    assert siso_outage_neg_log2(eta, 2.0) == pytest.approx(-math.log2(p), rel=1e-12)
+    eta = SnrPoint(40.0)
+    p, neglog = rank_one_outage(1, 1, eta, 2.0)
+    assert neglog == pytest.approx(-math.log2(p), rel=1e-12)
     # far past float resolution of 1 - p: probability saturates, exponent does not
-    big = SnrPoint.from_db(80.0)
-    assert siso_outage_closed_form(big, 1.5 * big.log2_eta) == 1.0
-    assert siso_outage_neg_log2(big, 1.5 * big.log2_eta) == 0.0
-    assert siso_outage_neg_log2(eta, 0.0) == math.inf
+    big = SnrPoint(80.0)
+    assert rank_one_outage(1, 1, big, 1.5 * big.log2_eta) == (1.0, 0.0)
+    assert rank_one_outage(1, 1, eta, 0.0)[1] == math.inf
+
+
+@pytest.mark.parametrize("M,N", [(1, 2), (1, 4), (3, 1), (4, 1)])
+def test_rank_one_outage_matches_gamma_quadrature(M, N):
+    k = max(M, N)
+    eta = SnrPoint(10.0)
+    # thresholds x = M (2^rate - 1) / eta on both sides of x = k, where the sum switches tails
+    for x_target in (0.05 * k, 0.5 * k, 0.9 * k, k, 1.5 * k, 4.0 * k):
+        rate = math.log2(1.0 + x_target * eta.eta_linear / M)
+        p, neglog = rank_one_outage(M, N, eta, rate)
+        g = np.linspace(0.0, x_target, 200_001)
+        density = g ** (k - 1) * np.exp(-g) / math.factorial(k - 1)
+        assert p == pytest.approx(np.trapezoid(density, g), abs=1e-9)
+        if 0.0 < p < 1.0:
+            assert 2.0**-neglog == pytest.approx(p, rel=1e-12)
+    with pytest.raises(ValueError):
+        rank_one_outage(2, 2, eta, 1.0)
+    with pytest.raises(ValueError):
+        rank_one_outage(M, N, eta, -0.5)
 
 
 def test_outage_profile_estimates_match_closed_form():
-    eta = SnrPoint.from_db(10.0)
+    eta = SnrPoint(10.0)
     rec = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101)
     oracle = siso_outage_profile(eta, 1.0, 2)
     for l in (1, 2):
@@ -187,7 +205,7 @@ def test_outage_profile_estimates_match_closed_form():
 
 
 def test_outage_profile_zero_rate_never_fails():
-    rec = outage_record(SISO_L2, SnrPoint.from_db(0.0), R=0.0, trials=10_000, seed=1)
+    rec = outage_record(SISO_L2, SnrPoint(0.0), R=0.0, trials=10_000, seed=1)
     assert rec.p_hat[0] == 1.0
     assert np.all(rec.p_hat[1:] == 0.0)
     assert math.isnan(rec.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
@@ -198,7 +216,7 @@ def test_outage_profile_monotone_in_l_and_eta():
     seed = 77
     prev = None
     for db in (0.0, 5.0, 10.0):
-        rec = outage_record(cfg, SnrPoint.from_db(db), R=2.0, trials=20_000, seed=seed)
+        rec = outage_record(cfg, SnrPoint(db), R=2.0, trials=20_000, seed=seed)
         assert np.all(np.diff(rec.p_hat) <= 0)
         if prev is not None:
             # same seed and stream: common fading draws couple the comparison
@@ -207,7 +225,7 @@ def test_outage_profile_monotone_in_l_and_eta():
 
 
 def test_outage_profile_deterministic_across_workers():
-    eta = SnrPoint.from_db(12.0)
+    eta = SnrPoint(12.0)
     a = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=1)
     b = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=4, chunk=999)
     assert np.array_equal(a.p_hat, b.p_hat)
@@ -215,7 +233,7 @@ def test_outage_profile_deterministic_across_workers():
 
 
 def test_outage_profile_type_rejects_bad_vectors():
-    eta = SnrPoint.from_db(10.0)
+    eta = SnrPoint(10.0)
     rec = SnrRecord(eta, 1.0, np.array([5, 3, 2]))
     assert rec.trials == 10 and rec.L == 2
     assert rec.p_hat.tolist() == [1.0, 0.5, 0.2]
@@ -256,18 +274,18 @@ def test_diversity_slope_exact_power_law():
 
 
 def test_diversity_slope_constant_probability():
-    pts = [(SnrPoint.from_db(d), 0.25) for d in (10.0, 20.0, 30.0)]
+    pts = [(SnrPoint(d), 0.25) for d in (10.0, 20.0, 30.0)]
     assert _slope(pts) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_diversity_slope_closed_form_siso_quarter_gain():
-    etas = [SnrPoint.from_db(d) for d in range(40, 81, 10)]
-    pts = [(e, siso_outage_closed_form(e, 0.25 * e.log2_eta)) for e in etas]
+    etas = [SnrPoint(d) for d in range(40, 81, 10)]
+    pts = [(e, _siso_p(e, 0.25 * e.log2_eta)) for e in etas]
     assert 0.70 <= _slope(pts) <= 0.78  # finite-SNR bias below the limit 0.75
 
 
 def test_diversity_slope_validates():
-    etas = [SnrPoint.from_db(10.0), SnrPoint.from_db(20.0)]
+    etas = [SnrPoint(10.0), SnrPoint(20.0)]
     expected = (2.0 - 1.0) / (etas[1].log2_eta - etas[0].log2_eta)
     assert diversity_slope(etas, [1.0, 2.0]) == pytest.approx(expected)
     with pytest.raises(ValueError):
@@ -280,23 +298,23 @@ def test_diversity_slope_validates():
 
 def test_experiment_single_block_reduces_to_plain_outage():
     cfg = RatelessConfig(1, 1, L=1)
-    etas = [SnrPoint.from_db(10.0)]
+    etas = [SnrPoint(10.0)]
     (rec,) = run_rateless_experiment(cfg, 0.25, etas, trials=200_000, seed=5)
-    oracle = siso_outage_closed_form(etas[0], rec.R)
+    oracle = _siso_p(etas[0], rec.R)
     assert abs(rec.p_hat[1] - oracle) <= 3.0 * rec.stderr[1]
     assert rec.stop_hist.sum() == rec.trials
 
 
 def test_experiment_effective_gain_doubles_at_low_gain():
     (rec,) = run_rateless_experiment(
-        SISO_L2, 0.25, [SnrPoint.from_db(60.0)], trials=100_000, seed=11
+        SISO_L2, 0.25, [SnrPoint(60.0)], trials=100_000, seed=11
     )
     assert abs(rec.r_hat - 0.5) <= 0.05 * 0.5
 
 
 def test_experiment_saturated_gain_trend():
     # r_n past min(M, N): every level saturates, effective gain falls to r_n
-    etas = [SnrPoint.from_db(d) for d in (40.0, 80.0, 120.0)]
+    etas = [SnrPoint(d) for d in (40.0, 80.0, 120.0)]
     r_hats = []
     for eta in etas:
         R = 1.5 * eta.log2_eta
@@ -304,7 +322,7 @@ def test_experiment_saturated_gain_trend():
         r_hats.append(effective_rate(R, 2, p) / eta.log2_eta)
     assert np.all(np.diff(np.abs(np.array(r_hats) - 1.5)) <= 0)
     assert r_hats[-1] == pytest.approx(1.5, rel=1e-6)
-    (rec,) = run_rateless_experiment(SISO_L2, 1.5, [SnrPoint.from_db(40.0)], 50_000, seed=2)
+    (rec,) = run_rateless_experiment(SISO_L2, 1.5, [SnrPoint(40.0)], 50_000, seed=2)
     assert rec.p_hat[1] > 0.999  # first level undecodable at high SNR
 
 
@@ -327,8 +345,8 @@ def test_experiment_rejects_bad_args():
     with pytest.raises(ValueError):
         run_rateless_experiment(SISO_L2, 0.25, [], 100, seed=0)
     with pytest.raises(ValueError):
-        run_rateless_experiment(SISO_L2, -0.1, [SnrPoint.from_db(10.0)], 100, seed=0)
+        run_rateless_experiment(SISO_L2, -0.1, [SnrPoint(10.0)], 100, seed=0)
     with pytest.raises(ValueError):
-        outage_record(SISO_L2, SnrPoint.from_db(10.0), 1.0, 0, seed=0)
+        outage_record(SISO_L2, SnrPoint(10.0), 1.0, 0, seed=0)
     with pytest.raises(ValueError):
-        outage_record(SISO_L2, SnrPoint.from_db(10.0), -1.0, 100, seed=0)
+        outage_record(SISO_L2, SnrPoint(10.0), -1.0, 100, seed=0)

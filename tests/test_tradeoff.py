@@ -12,9 +12,6 @@ from rateless_dmt import (
     RatelessConfig,
     default_r_n_grid,
     dmt_curves,
-    parallel_identical_dmt,
-    parallel_iid_dmt,
-    rateless_dmt_point,
     rateless_segment,
     tradeoff_f,
 )
@@ -31,6 +28,11 @@ rateless_configs = st.builds(
 )
 
 gains = st.fractions(min_value=0, max_value=8, max_denominator=64)
+
+
+def _rateless(cfg, r_n):
+    """The rateless point of dmt_curves at one r_n."""
+    return dmt_curves(cfg, [r_n])[0].points[0]
 
 
 def test_f_integer_corners_and_interpolation():
@@ -98,27 +100,31 @@ def test_segment_intervals_left_closed(cfg, r_n):
 
 
 def test_point_examples():
-    pt = rateless_dmt_point(RatelessConfig(2, 2, L=2), F(1, 2))
+    pt = _rateless(RatelessConfig(2, 2, L=2), F(1, 2))
     assert (pt.r, pt.d) == (1, F(5, 2))
-    pt = rateless_dmt_point(RatelessConfig(3, 3, L=4), 1)
+    pt = _rateless(RatelessConfig(3, 3, L=4), 1)
     assert (pt.r, pt.d) == (2, 4)
-    pt = rateless_dmt_point(RatelessConfig(1, 1, L=2), 0)
+    pt = _rateless(RatelessConfig(1, 1, L=2), 0)
     assert (pt.r, pt.d) == (0, 1)
 
 
 def test_tail_reporting_clamps_to_min_antennas():
     cfg = RatelessConfig(3, 3, L=4)
-    for r_n in (3, F(7, 2), 100):
-        pt = rateless_dmt_point(cfg, r_n)
+    pt = _rateless(cfg, 3)
+    assert rateless_segment(cfg, 3) is None
+    assert pt.r == 3 == cfg.min_antennas and pt.d == 0
+    # past min(M, N) there is no curve point at all
+    for r_n in (F(7, 2), 100):
         assert rateless_segment(cfg, r_n) is None
-        assert pt.r == 3 == cfg.min_antennas and pt.d == 0
+        with pytest.raises(ValueError):
+            dmt_curves(cfg, [r_n])
 
 
 @given(rateless_configs, gains)
 def test_segment_diversity_identity(cfg, r_n):
     # On every segment l * r / L collapses back to r_n, so d = f(r_n).
-    pt = rateless_dmt_point(cfg, r_n)
     if rateless_segment(cfg, r_n) is not None:
+        pt = _rateless(cfg, r_n)
         assert pt.d == tradeoff_f(cfg.M, cfg.N, r_n)
         assert pt.r < cfg.min_antennas  # only the tail is pinned to min(M, N)
 
@@ -128,12 +134,12 @@ def test_segment_gain_interval_endpoints(cfg):
     m = cfg.min_antennas
     for l in range(1, cfg.L + 1):
         left = F(l - 1, cfg.L) * m
-        assert rateless_dmt_point(cfg, left).r == F(l - 1, l) * m
+        assert _rateless(cfg, left).r == F(l - 1, l) * m
         # approach the right edge: (l b_l - epsilon) maps toward min(M, N)
         eps = F(1, 10**9)
         right = F(l, cfg.L) * m - eps
         if right >= left:
-            r = rateless_dmt_point(cfg, right).r
+            r = _rateless(cfg, right).r
             assert F(l - 1, l) * m <= r < m
 
 
@@ -141,32 +147,32 @@ def test_segment_gain_interval_endpoints(cfg):
 def test_first_segment_multiplies_gain_by_L(cfg, r_n):
     m = cfg.min_antennas
     if r_n < F(m, cfg.L):
-        pt = rateless_dmt_point(cfg, r_n)
+        rateless, _, identical, _ = dmt_curves(cfg, [r_n])
+        pt = rateless.points[0]
         assert pt.r == cfg.L * r_n
         assert pt.d == tradeoff_f(cfg.M, cfg.N, r_n)
         # and coincides with the shared-matrix parallel baseline at gain r
-        assert pt.d == parallel_identical_dmt(cfg, pt.r)
+        assert pt == identical.points[0]
 
 
 def test_parallel_examples():
+    # the parallel baselines sit at r = L r_n
     c22 = RatelessConfig(2, 2, L=2)
-    assert parallel_identical_dmt(c22, 1) == F(5, 2)
-    assert parallel_identical_dmt(c22, 0) == 4
-    assert parallel_identical_dmt(c22, 4) == 0
-    assert parallel_iid_dmt(c22, 1) == 5
+    _, _, identical, iid = dmt_curves(c22, [0, F(1, 2), 2])
+    assert [(p.r, p.d) for p in identical.points] == [(0, 4), (1, F(5, 2)), (4, 0)]
+    assert (iid.points[1].r, iid.points[1].d) == (1, 5)
     c13 = RatelessConfig(1, 1, L=3)
-    assert parallel_iid_dmt(c13, 0) == 3
-    assert parallel_iid_dmt(c13, 3) == 0
+    iid = dmt_curves(c13, [0, 1])[3]
+    assert [(p.r, p.d) for p in iid.points] == [(0, 3), (3, 0)]
     with pytest.raises(ValueError):
-        parallel_identical_dmt(c22, 5)
-    with pytest.raises(ValueError):
-        parallel_iid_dmt(c22, 5)
+        dmt_curves(c22, [F(5, 2)])  # r = 5 is past L min(M, N) = 4
 
 
 @given(rateless_configs, gains)
 def test_parallel_iid_is_L_times_identical(cfg, r_n):
-    r = r_n * cfg.L * cfg.min_antennas / 8  # keep r within [0, L min(M, N)]
-    assert parallel_iid_dmt(cfg, r) == cfg.L * parallel_identical_dmt(cfg, r)
+    _, _, identical, iid = dmt_curves(cfg, [r_n * cfg.min_antennas / 8])  # r_n within [0, min(M, N)]
+    assert iid.points[0].r == identical.points[0].r
+    assert iid.points[0].d == cfg.L * identical.points[0].d
 
 
 def test_curve_small_grid_values():
