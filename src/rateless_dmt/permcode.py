@@ -294,11 +294,11 @@ class _PrefixErrors:
         self.trail = 2 * code.L
         self.sqrt_eta = math.sqrt(eta.eta_linear)
 
-    def __call__(self, u: np.ndarray, h: np.ndarray, short: list[np.ndarray]) -> np.ndarray:
+    def __call__(self, u: np.ndarray, short: list[np.ndarray]) -> np.ndarray:
         L, n_msgs = self.table.shape
         msg = np.minimum((u[:, 0] * n_msgs).astype(np.int64), n_msgs - 1)
-        h = h[:, 0]
-        noise = rng.complex_normals(u[:, 3:])
+        z = rng.complex_normals(u[:, 1:])  # the fading draw, then the block noises
+        h, noise = z[:, 0], z[:, 1:]
         y = self.sqrt_eta * h[:, None] * self.table[:, msg].T + noise
         err_counts = np.zeros(L, dtype=np.int64)
         undecided = np.ones(len(u), dtype=bool)
@@ -333,8 +333,8 @@ def run_rateless_code_trials(
     cfg = RatelessConfig(1, 1, L)
     # bound the per-chunk distance matrix to ~32 MB for large codebooks
     chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
-    counts = simulate.stop_counts(
-        cfg, eta, R, trials, seed,
+    (counts,) = simulate.stop_counts(
+        cfg, [(eta, R)], trials, seed,
         stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
     )
     return CodeTrialResult(eta=eta, R=R, stop_hist=counts[: L + 1], err_counts=counts[L + 1 :])

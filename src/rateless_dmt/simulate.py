@@ -8,6 +8,12 @@ is the error proxy, which is the operative event once blocks are long
 enough. Everything is driven by the counter-based substreams in
 :mod:`rateless_dmt.rng`, so results are bit-identical for any chunking or
 thread count.
+
+Each trial's fading draw is reduced once to SNR-free statistics of H
+(:func:`channel_stats`), and every SNR of a sweep evaluates I_b from those
+same statistics (:func:`block_info`). The SNR cells of one sweep thus share
+their draws (common random numbers), and a cell's counts do not depend on
+its position in the grid or on the other SNRs in it.
 """
 
 from __future__ import annotations
@@ -134,17 +140,54 @@ def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
     return rank_one_outage(1, 1, eta, rate_threshold)[0]
 
 
-def block_info(h: np.ndarray, eta_linear: float, M: int, N: int) -> np.ndarray:
-    """Per-trial log2 det(I_N + (eta / M) H H*), one trial per row of N*M entries.
+def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The SNR-free statistics of each trial's N x M fading matrix, from its 2MN Box-Muller uniforms.
 
-    Gaussian inputs with equal power per transmit antenna; each row holds
-    the N x M matrix H in row-major order.
+    Returns the planes of the K x K Gram matrix G = X X*, K = min(M, N), with X = H when
+    N <= M and X = H^T otherwise: det(I + a G) = det(I_N + a H H*) either way (Sylvester's
+    identity). Shape (K, K, trials), packed: Re G_ij at [i, j] for i >= j, Im G_ij at [j, i]
+    for i > j. For rank one (K = 1), G = ||h||^2 is the sum of the entries' -log1p(-u1),
+    half their squared Box-Muller radii, so no angle, normal or complex array is formed.
     """
-    if M == 1 and N == 1:
-        return np.log1p(eta_linear * np.abs(h[:, 0]) ** 2) / _LN2
-    h = h.reshape(len(h), N, M)
-    gram = np.eye(N, dtype=complex) + (eta_linear / M) * (h @ h.conj().transpose(0, 2, 1))
-    return np.linalg.slogdet(gram)[1] / _LN2
+    n = len(u)
+    if min(M, N) == 1:
+        return -np.log1p(-u[:, 0::2]).sum(axis=1).reshape(1, 1, n)
+    x = rng.complex_normals(u).reshape(n, N, M)
+    if N > M:
+        x = x.transpose(0, 2, 1)
+    # one contiguous (K, J, trials) plane per part, so each entry of G sums whole rows
+    xr = np.ascontiguousarray(x.real.transpose(1, 2, 0))
+    xi = np.ascontiguousarray(x.imag.transpose(1, 2, 0))
+    K = len(xr)
+    g = np.empty((K, K, n))
+    for i in range(K):
+        for j in range(i + 1):
+            g[i, j] = np.einsum("mt,mt->t", xr[i], xr[j]) + np.einsum("mt,mt->t", xi[i], xi[j])
+            if j < i:
+                g[j, i] = np.einsum("mt,mt->t", xi[i], xr[j]) - np.einsum("mt,mt->t", xr[i], xi[j])
+    return g
+
+
+def block_info(stats: np.ndarray, eta_linear: float, M: int) -> np.ndarray:
+    """Per-trial I_b = log2 det(I + (eta / M) G) from the Gram planes of :func:`channel_stats`.
+
+    A square-root-free Cholesky (A = L D L*) of A = I + (eta / M) G, unrolled over the packed
+    planes. A >= I, so every pivot D_j is >= 1, and log det A sums log1p(D_j - 1).
+    """
+    w = (eta_linear / M) * stats  # A - I, packed like stats; its diagonal ends as the D_j - 1
+    K = len(w)
+    for j in range(K - 1):
+        inv = 1.0 / (1.0 + w[j, j])
+        for i in range(j + 1, K):
+            for c in range(j + 1, i + 1):
+                # Schur complement: A_ic -= A_ij conj(A_cj) / D_j, real and imaginary planes
+                w[i, c] -= (w[i, j] * w[c, j] + w[j, i] * w[j, c]) * inv
+                if c < i:
+                    w[c, i] -= (w[j, i] * w[c, j] - w[i, j] * w[j, c]) * inv
+    logdet = np.log1p(w[0, 0])
+    for j in range(1, K):
+        logdet += np.log1p(w[j, j])
+    return logdet / _LN2
 
 
 def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
@@ -159,8 +202,7 @@ def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
 
 def stop_counts(
     cfg: RatelessConfig,
-    eta: SnrPoint,
-    R: float,
+    points: Sequence[tuple[SnrPoint, float]],
     trials: int,
     seed: int,
     *,
@@ -169,34 +211,42 @@ def stop_counts(
     chunk: int = rng.DEFAULT_CHUNK,
     decoder=None,
 ) -> np.ndarray:
-    """The Monte Carlo kernel: the stop histogram, trials stopping at blocks 1..L then outages.
+    """The Monte Carlo kernel: one stop-histogram row per (eta, R) point.
 
+    A row counts the trials stopping at blocks 1..L, then the outages.
     Every trial of substream (seed, stream) draws 2MN uniforms for its
-    fading matrix, and that one draw serves all l. A decoder riding along
-    reserves `decoder.lead` uniforms before them and `decoder.trail` after;
-    it is called per chunk as decoder(u, h, short) with the uniforms, the
-    channel entries and the still-short masks, and its count vector is
-    appended to the L + 1 stop counts. The counts do not depend on the
-    chunk size or the worker count.
+    fading matrix once; its SNR-free statistics then serve every point and
+    every l, so the points share the draw (common random numbers), and a
+    point's row does not depend on the other points or their order. A
+    decoder riding along takes exactly one point; it reserves
+    `decoder.lead` uniforms before the fading draw and `decoder.trail`
+    after, is called per chunk as decoder(u, short) with the uniforms and
+    the still-short masks, and its count vector is appended to the row.
+    The counts do not depend on the chunk size or the worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not points or (decoder is not None and len(points) != 1):
+        raise ValueError("need at least one (eta, R) point, and exactly one with a decoder")
+    for _, R in points:
+        if R < 0:
+            raise ValueError(f"R must be >= 0, got {R}")
     M, N, L = cfg.M, cfg.N, cfg.L
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     n_h = 2 * M * N
     key = rng.stream_key(seed, stream)
-    eta_lin = eta.eta_linear
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
         u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
-        h = rng.complex_normals(u[:, lead : lead + n_h])
-        short = still_short(block_info(h, eta_lin, M, N), R, L)
-        # nested masks: the drop in the short count at block l is the trials that stop there
-        left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
-        stops = -np.diff(left)
-        if decoder is None:
-            return stops
-        return np.concatenate((stops, decoder(u, h, short)))
+        stats = channel_stats(u[:, lead : lead + n_h], M, N)
+        rows = []
+        for eta, R in points:
+            short = still_short(block_info(stats, eta.eta_linear, M), R, L)
+            # nested masks: the drop in the short count at block l is the trials that stop there
+            left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
+            stops = -np.diff(left)
+            rows.append(stops if decoder is None else np.concatenate((stops, decoder(u, short))))
+        return np.stack(rows)
 
     # integer sums, so the result is exact in any order
     return np.sum(rng.map_chunks(one_chunk, trials, chunk=chunk, workers=workers), axis=0)
@@ -220,14 +270,14 @@ def outage_record(
 ) -> SnrRecord:
     """Monte Carlo p(l) for l = 0..L, stop histogram and effective rate at one SNR and rate R.
 
-    One fading draw per trial is shared across all l, so the estimates
-    are exactly nonincreasing in l. Calls with the same seed and stream
-    reuse the same fading draws, which couples comparisons across SNR or
-    rate through common random numbers.
+    The one-point call of :func:`stop_counts`. One fading draw per trial
+    is shared across all l, so the estimates are exactly nonincreasing in
+    l. Calls with the same seed and stream reuse the same fading draws,
+    which couples comparisons across SNR or rate through common random
+    numbers; on stream 0 the record equals the row of any
+    :func:`run_rateless_experiment` sweep that holds this SNR and rate.
     """
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
-    stops = stop_counts(cfg, eta, R, trials, seed, stream=stream, workers=workers, chunk=chunk)
+    (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, stream=stream, workers=workers, chunk=chunk)
     return SnrRecord(eta=eta, R=R, stop_hist=stops)
 
 
@@ -270,17 +320,16 @@ def run_rateless_experiment(
 ) -> list[SnrRecord]:
     """Full protocol sweep: per SNR, estimate p(l), stop counts, and rates.
 
-    The rate scales with SNR as R = r_n * log2(eta). Each SNR point uses
-    its own substream tagged by grid position, so records are independent
-    of evaluation order.
+    The rate scales with SNR as R = r_n * log2(eta). One kernel call on
+    stream 0 covers the whole grid: every SNR evaluates the same fading
+    draw of each trial (common random numbers), so the cells of a sweep
+    are correlated, and each record equals the one-point
+    :func:`outage_record` at its SNR and rate, whatever its grid position.
     """
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")
     if float(r_n) < 0:
         raise ValueError(f"r_n must be >= 0, got {r_n}")
-    return [
-        outage_record(
-            cfg, eta, float(r_n) * eta.log2_eta, trials, seed, stream=i, workers=workers, chunk=chunk
-        )
-        for i, eta in enumerate(eta_grid)
-    ]
+    points = [(eta, float(r_n) * eta.log2_eta) for eta in eta_grid]
+    rows = stop_counts(cfg, points, trials, seed, workers=workers, chunk=chunk)
+    return [SnrRecord(eta=eta, R=R, stop_hist=row) for (eta, R), row in zip(points, rows)]

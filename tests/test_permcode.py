@@ -28,6 +28,7 @@ from rateless_dmt.permcode import (
     parse_codebook,
     save_codebook,
 )
+from rateless_dmt.verify import exact_cells
 
 
 def _decode(code, y, h, eta):
@@ -245,9 +246,12 @@ def test_trials_stop_probabilities_match_closed_form():
     code, _ = search_permutation_code(2, 2)
     eta = SnrPoint(20.0)
     res = run_rateless_code_trials(code, eta, 200_000, seed=31)
-    for l in (1, 2):
-        oracle = rank_one_outage(1, 1, eta, 2.0 / l)[0]
-        assert abs(res.p_hat[l] - oracle) <= 3.0 * res.stderr[l]
+    cells = [
+        (f"p({l})", int(res.stop_hist[l:].sum()), res.trials, rank_one_outage(1, 1, eta, 2.0 / l)[0])
+        for l in (1, 2)
+    ]
+    ok, detail = exact_cells(cells, tol_scale=1.0)
+    assert ok, detail
     assert res.errors.stop_hist.sum() == 200_000
     assert res.errors.p_e == pytest.approx(float(np.sum(res.errors.joint_err)))
 

@@ -25,9 +25,11 @@ from rateless_dmt.cli import main
 from rateless_dmt.simulate import (
     SnrRecord,
     block_info,
+    channel_stats,
     still_short,
     stop_counts,
 )
+from rateless_dmt.verify import exact_cells
 
 SISO_L2 = RatelessConfig(1, 1, L=2)
 
@@ -107,8 +109,9 @@ def test_stop_rule_has_no_block_length_parameter():
         assert "T" not in inspect.signature(fn).parameters, fn.__name__
 
 
-# (M, N, L): SISO, square, both rank-one orientations, and a longer codeword
-KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4)]
+# (M, N, L): SISO, square, both rank-one orientations, a longer codeword, and both
+# orientations of the min-size Gram matrix (H H* for N < M, H* H for N > M)
+KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2), (3, 2, 2)]
 
 
 class _CodeLayout:
@@ -119,7 +122,7 @@ class _CodeLayout:
     def __init__(self, L):
         self.trail = 2 * L
 
-    def __call__(self, u, h, short):
+    def __call__(self, u, short):
         return np.zeros(0, dtype=np.int64)
 
 
@@ -138,7 +141,7 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     # a rate that puts the message size in the middle of the I_b spread
     R = 0.75 * float(np.median(ref_ib))
 
-    ib = block_info(h, eta.eta_linear, M, N)
+    ib = block_info(channel_stats(u[:, lead : lead + 2 * M * N], M, N), eta.eta_linear, M)
     np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
     stop = 1 + np.sum(still_short(ib, R, L), axis=0)  # L + 1 means outage
     ref_stop = [rateless_stop(x, R, L) or L + 1 for x in ref_ib]
@@ -147,7 +150,9 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     assert np.count_nonzero(ref_hist) >= 2  # the comparison sees more than one outcome
 
     # the full kernel, chunked and threaded, lands on the same histogram
-    stops = stop_counts(cfg, eta, R, trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder)
+    (stops,) = stop_counts(
+        cfg, [(eta, R)], trials, seed, stream=stream, chunk=64, workers=2, decoder=decoder
+    )
     assert stops.tolist() == ref_hist.tolist()
 
 
@@ -196,12 +201,21 @@ def test_rank_one_outage_matches_gamma_quadrature(M, N):
         rank_one_outage(M, N, eta, -0.5)
 
 
+def _short(rec, l):
+    """Trials still short after block l: the events behind p_hat[l]."""
+    return int(rec.stop_hist[l:].sum())
+
+
+def _assert_exact(cells):
+    ok, detail = exact_cells(cells, tol_scale=1.0)
+    assert ok, detail
+
+
 def test_outage_profile_estimates_match_closed_form():
     eta = SnrPoint(10.0)
     rec = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101)
     oracle = siso_outage_profile(eta, 1.0, 2)
-    for l in (1, 2):
-        assert abs(rec.p_hat[l] - oracle[l]) <= 3.0 * rec.stderr[l]
+    _assert_exact([(f"p({l})", _short(rec, l), rec.trials, oracle[l]) for l in (1, 2)])
 
 
 def test_outage_profile_zero_rate_never_fails():
@@ -300,9 +314,22 @@ def test_experiment_single_block_reduces_to_plain_outage():
     cfg = RatelessConfig(1, 1, L=1)
     etas = [SnrPoint(10.0)]
     (rec,) = run_rateless_experiment(cfg, 0.25, etas, trials=200_000, seed=5)
-    oracle = _siso_p(etas[0], rec.R)
-    assert abs(rec.p_hat[1] - oracle) <= 3.0 * rec.stderr[1]
+    _assert_exact([("p(1)", _short(rec, 1), rec.trials, _siso_p(etas[0], rec.R))])
     assert rec.stop_hist.sum() == rec.trials
+
+
+@pytest.mark.parametrize("M, N", [(1, 1), (1, 4), (4, 1)])
+def test_experiment_every_sweep_cell_matches_rank_one_oracle(M, N):
+    # every (SNR, l) cell, past grid position 0 too, against the exact law; 0 dB has R = 0
+    cfg = RatelessConfig(M, N, L=3)
+    etas = [SnrPoint(db) for db in (0.0, 5.0, 10.0, 20.0)]
+    records = run_rateless_experiment(cfg, 0.25, etas, trials=50_000, seed=17)
+    _assert_exact([
+        (f"{rec.eta.eta_db:g}dB p({l})", _short(rec, l), rec.trials,
+         rank_one_outage(M, N, rec.eta, cfg.L * rec.R / l)[0])
+        for rec in records
+        for l in range(1, cfg.L + 1)
+    ])
 
 
 def test_experiment_effective_gain_doubles_at_low_gain():
@@ -350,3 +377,8 @@ def test_experiment_rejects_bad_args():
         outage_record(SISO_L2, SnrPoint(10.0), 1.0, 0, seed=0)
     with pytest.raises(ValueError):
         outage_record(SISO_L2, SnrPoint(10.0), -1.0, 100, seed=0)
+    with pytest.raises(ValueError):
+        stop_counts(SISO_L2, [], 100, seed=0)
+    two = [(SnrPoint(10.0), 1.0), (SnrPoint(20.0), 1.0)]
+    with pytest.raises(ValueError):
+        stop_counts(SISO_L2, two, 100, seed=0, decoder=_CodeLayout(2))  # a decoder takes one point
