@@ -9,7 +9,6 @@ runs the verification suite.
 from .configs import RatelessConfig
 from .permcode import (
     Constellation,
-    ErrorDecomposition,
     PermutationCode,
     build_qam,
     identity_code,

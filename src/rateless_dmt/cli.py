@@ -267,14 +267,13 @@ def cmd_codes(args: argparse.Namespace) -> int:
             )
 
     results = [
-        permcode.run_rateless_code_trials(code, eta, trials, seed, stream=i, workers=workers)
-        for i, eta in enumerate(etas)
+        permcode.run_rateless_code_trials(code, eta, trials, seed, workers=workers) for eta in etas
     ]
     book_path = _open_out(args.out, "codebook.txt")
     permcode.save_codebook(code, str(book_path))
     rows = (
-        (res.eta.eta_db, l, res.errors.joint_err[l - 1], res.errors.joint_stderr[l - 1],
-         res.errors.p_e, res.errors.cond_err_nonoutage, seed)
+        (res.eta.eta_db, l, res.joint_err[l - 1], res.joint_stderr[l - 1], res.p_e,
+         res.cond_err_nonoutage, seed)
         for res in results
         for l in range(1, res.L + 1)
     )

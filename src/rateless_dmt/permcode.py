@@ -223,25 +223,25 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
     return np.argmin(d2, axis=1)
 
 
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    """Per-stopping-block error accounting from the counts of one batch of trials.
+@dataclass(frozen=True, eq=False)
+class CodeTrialResult(SnrRecord):
+    """An :class:`SnrRecord` of code trials plus the decoding errors per stopping block.
 
     err_counts[l - 1] counts decoding errors among trials that stopped at
-    block l; stop_hist counts stops at 1..L and then outages.
-    joint_err[l - 1] estimates Pr(decoding error and stop at block l); the
-    final entry also carries the outage mass, since an undecoded message
-    is a failure, so p_e = sum(joint_err) is the overall error
+    block l. joint_err[l - 1] estimates Pr(decoding error and stop at block
+    l); the final entry also carries the outage mass, since an undecoded
+    message is a failure, so p_e = sum(joint_err) is the overall error
     probability. cond_err_nonoutage is the error rate among trials that
     decoded.
     """
 
-    err_counts: np.ndarray
-    stop_hist: np.ndarray
+    err_counts: np.ndarray = field(repr=False)
 
     @property
-    def trials(self) -> int:
-        return int(self.stop_hist.sum())
+    def errors(self) -> "CodeTrialResult":
+        """The result itself; its one reader, perfbench/run.py:oracle_cells, reads
+        res.errors.joint_err, .stop_hist and .trials."""
+        return self
 
     @cached_property
     def joint_err(self) -> np.ndarray:
@@ -267,24 +267,13 @@ class ErrorDecomposition:
         return float(np.sum(self.err_counts)) / decoded_trials if decoded_trials else math.nan
 
 
-@dataclass(frozen=True)
-class CodeTrialResult(SnrRecord):
-    """An :class:`SnrRecord` of code trials plus the decoding errors per stopping block."""
-
-    err_counts: np.ndarray = field(repr=False)
-
-    @cached_property
-    def errors(self) -> ErrorDecomposition:
-        return ErrorDecomposition(err_counts=self.err_counts, stop_hist=self.stop_hist)
-
-
 class _PrefixErrors:
     """Decoder hook for :func:`simulate.stop_counts`: errors per stopping block.
 
     Trial layout in the substream: one uniform for the message, two for
     the fading draw, 2L for the block noises. The layout is independent
-    of the codebook, so runs with equal (seed, stream) share all
-    randomness; that is what makes paired code comparisons tight.
+    of the codebook, so runs with equal seeds share all randomness; that
+    is what makes paired code comparisons tight.
     """
 
     lead = 1
@@ -318,7 +307,6 @@ def run_rateless_code_trials(
     seed: int,
     *,
     workers: int = 1,
-    stream: int = 0,
     chunk: int = rng.DEFAULT_CHUNK,
 ) -> CodeTrialResult:
     """Simulate the full rateless protocol with actual ML decoding.
@@ -326,7 +314,9 @@ def run_rateless_code_trials(
     The rate is the codebook's own, R = bits / L. Per trial: draw h,
     accumulate Gaussian-input mutual information to pick the stopping
     block, then ML-decode the received prefix. Outage trials never decode
-    and count as errors in the final joint term.
+    and count as errors in the final joint term. Every call of a seed
+    draws trial t from the same uniforms, so runs at other SNRs or with
+    other codebooks see the same messages, fading and noise.
     """
     L = code.L
     R = code.bits / L
@@ -335,7 +325,7 @@ def run_rateless_code_trials(
     chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
     (counts,) = simulate.stop_counts(
         cfg, [(eta, R)], trials, seed,
-        stream=stream, workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
+        workers=workers, chunk=chunk, decoder=_PrefixErrors(code, eta),
     )
     return CodeTrialResult(eta=eta, R=R, stop_hist=counts[: L + 1], err_counts=counts[L + 1 :])
 

@@ -63,14 +63,15 @@ class SnrPoint:
         return math.log2(self.eta_linear)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnrRecord:
     """The stop counts of one SNR point and rate R; every estimate derives from them.
 
     stop_hist counts the trials that stopped at blocks 1..L, then the
     outages. p_hat[l] = Pr(still short after block l) for l = 0..L, so
     p_hat[0] is 1 and p_hat is nonincreasing; the standard errors are the
-    binomial sqrt(p (1 - p) / n).
+    binomial sqrt(p (1 - p) / n). Records compare and hash by identity, as
+    the codebook types do, since stop_hist is an array.
     """
 
     eta: SnrPoint
@@ -206,7 +207,6 @@ def stop_counts(
     trials: int,
     seed: int,
     *,
-    stream: int = 0,
     workers: int = 1,
     chunk: int = rng.DEFAULT_CHUNK,
     decoder=None,
@@ -214,8 +214,9 @@ def stop_counts(
     """The Monte Carlo kernel: one stop-histogram row per (eta, R) point.
 
     A row counts the trials stopping at blocks 1..L, then the outages.
-    Every trial of substream (seed, stream) draws 2MN uniforms for its
-    fading matrix once; its SNR-free statistics then serve every point and
+    Trial t of a seed always reads the same window of the seed's one
+    stream, whatever the call, and draws 2MN uniforms for its fading
+    matrix once; its SNR-free statistics then serve every point and
     every l, so the points share the draw (common random numbers), and a
     point's row does not depend on the other points or their order. A
     decoder riding along takes exactly one point; it reserves
@@ -234,7 +235,8 @@ def stop_counts(
     M, N, L = cfg.M, cfg.N, cfg.L
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     n_h = 2 * M * N
-    key = rng.stream_key(seed, stream)
+    # stream 0: the key of every simulate output, golden file and perfbench outage digest
+    key = rng.stream_key(seed, 0)
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
         u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
@@ -264,7 +266,6 @@ def outage_record(
     trials: int,
     seed: int,
     *,
-    stream: int = 0,
     workers: int = 1,
     chunk: int = rng.DEFAULT_CHUNK,
 ) -> SnrRecord:
@@ -272,12 +273,12 @@ def outage_record(
 
     The one-point call of :func:`stop_counts`. One fading draw per trial
     is shared across all l, so the estimates are exactly nonincreasing in
-    l. Calls with the same seed and stream reuse the same fading draws,
-    which couples comparisons across SNR or rate through common random
-    numbers; on stream 0 the record equals the row of any
-    :func:`run_rateless_experiment` sweep that holds this SNR and rate.
+    l. Calls with the same seed reuse the same fading draws, which couples
+    comparisons across SNR or rate through common random numbers; the
+    record equals the row of any :func:`run_rateless_experiment` sweep of
+    the seed that holds this SNR and rate.
     """
-    (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, stream=stream, workers=workers, chunk=chunk)
+    (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, workers=workers, chunk=chunk)
     return SnrRecord(eta=eta, R=R, stop_hist=stops)
 
 
@@ -320,11 +321,11 @@ def run_rateless_experiment(
 ) -> list[SnrRecord]:
     """Full protocol sweep: per SNR, estimate p(l), stop counts, and rates.
 
-    The rate scales with SNR as R = r_n * log2(eta). One kernel call on
-    stream 0 covers the whole grid: every SNR evaluates the same fading
-    draw of each trial (common random numbers), so the cells of a sweep
-    are correlated, and each record equals the one-point
-    :func:`outage_record` at its SNR and rate, whatever its grid position.
+    The rate scales with SNR as R = r_n * log2(eta). One kernel call covers
+    the whole grid: every SNR evaluates the same fading draw of each trial
+    (common random numbers), so the cells of a sweep are correlated, and
+    each record equals the one-point :func:`outage_record` at its SNR and
+    rate, whatever its grid position.
     """
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")

@@ -125,17 +125,21 @@ _GAIN_TRIALS = 10**5
 
 
 def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """Rank-one p(l) estimates against the exact Erlang outage law, one exact test per cell."""
+    """Rank-one p(l) estimates against the exact Erlang outage law, one exact test per cell.
+
+    One kernel call per shape covers its SNRs; a row equals the one-point call at its SNR.
+    """
     R = 1.0
-    runs = [((1, 1), db, _ORACLE_TRIALS) for db in (0.0, 10.0, 20.0, 30.0)]
-    runs += [(mn, db, _GAIN_TRIALS) for mn in ((1, 4), (4, 1)) for db in (0.0, 5.0, 10.0)]
+    runs = [((1, 1), (0.0, 10.0, 20.0, 30.0), _ORACLE_TRIALS)]
+    runs += [(mn, (0.0, 5.0, 10.0), _GAIN_TRIALS) for mn in ((1, 4), (4, 1))]
     cells = []
-    for i, ((M, N), db, trials) in enumerate(runs):
-        cfg, eta = RatelessConfig(M, N, L=2), SnrPoint(db)
-        rec = simulate.outage_record(cfg, eta, R, trials, seed, stream=i)
-        for l in (1, 2):
-            oracle = simulate.rank_one_outage(M, N, eta, cfg.L * R / l)[0]
-            cells.append((f"{M}x{N} {db:g}dB p({l})", int(rec.stop_hist[l:].sum()), trials, oracle))
+    for (M, N), dbs, trials in runs:
+        cfg, etas = RatelessConfig(M, N, L=2), [SnrPoint(db) for db in dbs]
+        rows = simulate.stop_counts(cfg, [(eta, R) for eta in etas], trials, seed)
+        for eta, stops in zip(etas, rows):
+            for l in (1, 2):
+                oracle = simulate.rank_one_outage(M, N, eta, cfg.L * R / l)[0]
+                cells.append((f"{M}x{N} {eta.eta_db:g}dB p({l})", int(stops[l:].sum()), trials, oracle))
     ok, detail = exact_cells(cells, tol_scale)
     return ok, f"{len(cells)} cells; {detail}"
 
@@ -206,10 +210,10 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
     failures = []
     notes = []
     stop_cells = []
-    for i, db in enumerate((20.0, 30.0, 40.0)):
+    for db in (20.0, 30.0, 40.0):
         eta = SnrPoint(db)
-        res_s = permcode.run_rateless_code_trials(searched, eta, _CODE_TRIALS, seed, stream=i)
-        res_i = permcode.run_rateless_code_trials(ident, eta, _CODE_TRIALS, seed, stream=i)
+        res_s = permcode.run_rateless_code_trials(searched, eta, _CODE_TRIALS, seed)
+        res_i = permcode.run_rateless_code_trials(ident, eta, _CODE_TRIALS, seed)
         # (a) stop probabilities against the exact outage law, tested after the loop
         for l in (1, 2):
             oracle = simulate.rank_one_outage(1, 1, eta, 2.0 / l)[0]
@@ -217,27 +221,27 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
         # (b) total error within a factor of 3 of the final-block outage
         if db >= 30.0:
             p_L = simulate.rank_one_outage(1, 1, eta, 2.0 / L)[0]
-            ratio = res_s.errors.p_e / p_L
+            ratio = res_s.p_e / p_L
             factor = 3.0 * tol_scale
             notes.append(f"{db:g}dB P_e/p(L)={ratio:.2f}")
             if not (1.0 / factor <= ratio <= factor):
                 failures.append(f"{db:g}dB P_e/p(L)={ratio:.2f} outside factor {factor:g}")
         # (c) early-stop errors do not dominate the final joint term
         if db == 40.0:
-            early = float(np.sum(res_s.errors.joint_err[: L - 1]))
+            early = float(np.sum(res_s.joint_err[: L - 1]))
             early_se = simulate.binomial_stderr(early, _CODE_TRIALS)
-            last = res_s.errors.joint_err[L - 1]
-            last_se = res_s.errors.joint_stderr[L - 1]
+            last = res_s.joint_err[L - 1]
+            last_se = res_s.joint_stderr[L - 1]
             slack = 3.0 * math.hypot(early_se, last_se) * tol_scale
             notes.append(f"40dB early={early:.2e} last={last:.2e}")
             if early > last + slack:
                 failures.append(f"early joint errors {early:.3e} exceed final {last:.3e} + {slack:.1e}")
         # (d) paired comparison under common randomness
-        pair_slack = 3.0 * math.hypot(res_s.errors.p_e_stderr, res_i.errors.p_e_stderr) * tol_scale
-        if res_s.errors.p_e > res_i.errors.p_e + pair_slack:
+        pair_slack = 3.0 * math.hypot(res_s.p_e_stderr, res_i.p_e_stderr) * tol_scale
+        if res_s.p_e > res_i.p_e + pair_slack:
             failures.append(
-                f"{db:g}dB searched P_e {res_s.errors.p_e:.3e} above identity "
-                f"{res_i.errors.p_e:.3e} + {pair_slack:.1e}"
+                f"{db:g}dB searched P_e {res_s.p_e:.3e} above identity "
+                f"{res_i.p_e:.3e} + {pair_slack:.1e}"
             )
     ok_stops, stops_detail = exact_cells(stop_cells, tol_scale)
     if not ok_stops:

@@ -115,6 +115,17 @@ def test_simulate_row_does_not_depend_on_its_grid_position(tmp_path):
     assert rows["10,20,30"][3:] == rows["20"] + rows["30"]
 
 
+def test_codes_row_does_not_depend_on_its_grid_position(tmp_path):
+    # every SNR decodes the same messages, fading and noise, so a row is the one-SNR run at that SNR
+    run = ["codes", "--L", "2", "--bits", "2", "--trials", "20000", "--seed", "3"]
+    rows = {}
+    for grid in ("20,30,40", "30", "40"):
+        assert main(run + ["--eta-db", grid, "--out", str(tmp_path / grid)]) == 0
+        lines = (tmp_path / grid / "code_trials.csv").read_text().splitlines()
+        rows[grid] = [line for line in lines if not line.startswith("#")][1:]  # l = 1..2 per SNR
+    assert rows["20,30,40"][2:] == rows["30"] + rows["40"]
+
+
 def test_simulate_prints_slope_fit_against_analytic_limit(tmp_path, capsys):
     assert main([
         "simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25",

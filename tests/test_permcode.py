@@ -19,8 +19,8 @@ from rateless_dmt import (
     search_permutation_code,
 )
 from rateless_dmt.permcode import (
+    CodeTrialResult,
     Constellation,
-    ErrorDecomposition,
     PermutationCode,
     codebook_text,
     load_codebook,
@@ -243,35 +243,39 @@ def test_decode_agrees_with_plain_python_oracle():
 
 
 def test_trials_stop_probabilities_match_closed_form():
+    # every SNR of the seed draws the same trials; each (SNR, l) cell is judged on its own
     code, _ = search_permutation_code(2, 2)
-    eta = SnrPoint(20.0)
-    res = run_rateless_code_trials(code, eta, 200_000, seed=31)
-    cells = [
-        (f"p({l})", int(res.stop_hist[l:].sum()), res.trials, rank_one_outage(1, 1, eta, 2.0 / l)[0])
-        for l in (1, 2)
-    ]
+    cells = []
+    for db in (10.0, 20.0, 30.0):
+        eta = SnrPoint(db)
+        res = run_rateless_code_trials(code, eta, 200_000, seed=31)
+        for l in (1, 2):
+            oracle = rank_one_outage(1, 1, eta, 2.0 / l)[0]
+            cells.append((f"{db:g}dB p({l})", int(res.stop_hist[l:].sum()), res.trials, oracle))
+        assert res.stop_hist.sum() == 200_000
+        assert res.p_e == pytest.approx(float(np.sum(res.joint_err)))
     ok, detail = exact_cells(cells, tol_scale=1.0)
-    assert ok, detail
-    assert res.errors.stop_hist.sum() == 200_000
-    assert res.errors.p_e == pytest.approx(float(np.sum(res.errors.joint_err)))
+    assert len(cells) == 6 and ok, detail
 
 
 def test_error_decomposition_derives_estimates_from_counts():
     # 10 trials: stops 5, 3, then 2 outages; 1 error at block 1 and 2 at block 2
-    err = ErrorDecomposition(err_counts=np.array([1, 2]), stop_hist=np.array([5, 3, 2]))
+    eta = SnrPoint(10.0)
+    err = CodeTrialResult(eta, 1.0, stop_hist=np.array([5, 3, 2]), err_counts=np.array([1, 2]))
     assert err.trials == 10
     assert err.joint_err.tolist() == [0.1, 0.4]  # outages count as final-block failures
     assert err.p_e == pytest.approx(0.5)
     assert err.p_e_stderr == pytest.approx(math.sqrt(0.25 / 10))
     assert err.cond_err_nonoutage == pytest.approx(3 / 8)
-    assert math.isnan(ErrorDecomposition(np.array([0, 0]), np.array([0, 0, 4])).cond_err_nonoutage)
+    assert math.isnan(CodeTrialResult(eta, 1.0, np.array([0, 0, 4]), np.array([0, 0])).cond_err_nonoutage)
+    assert err == err and len({err, err}) == 1  # compared and hashed by identity, like SnrRecord
 
 
 def test_trials_high_snr_concentrates_on_first_block():
     code, _ = search_permutation_code(2, 2)
     res = run_rateless_code_trials(code, SnrPoint(60.0), 50_000, seed=8)
-    assert res.errors.stop_hist[0] > 0.999 * 50_000
-    assert res.errors.p_e < 1e-3
+    assert res.stop_hist[0] > 0.999 * 50_000
+    assert res.p_e < 1e-3
     assert res.r_bar == pytest.approx(2.0, rel=1e-3)
 
 
@@ -288,10 +292,10 @@ def test_trials_stop_and_errors_match_scalar_reference():
     L, n = code.L, code.n_messages
     eta = SnrPoint(12.0)
     R = code.bits / L
-    trials, seed, stream = 3000, 13, 4
-    res = run_rateless_code_trials(code, eta, trials, seed, stream=stream, chunk=500, workers=2)
+    trials, seed = 3000, 13
+    res = run_rateless_code_trials(code, eta, trials, seed, chunk=500, workers=2)
 
-    u = rng.trial_uniforms(rng.stream_key(seed, stream), 3 + 2 * L, 0, trials)
+    u = rng.trial_uniforms(rng.stream_key(seed, 0), 3 + 2 * L, 0, trials)
     stop_hist = np.zeros(L + 1, dtype=np.int64)
     fails = np.zeros(L, dtype=np.int64)
     for row in u:
@@ -306,31 +310,31 @@ def test_trials_stop_and_errors_match_scalar_reference():
         stop_hist[stop - 1] += 1
         y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:stop, m] + noise[:stop]
         fails[stop - 1] += _brute_force_decode(code, y, h, eta) != m
-    assert res.errors.stop_hist.tolist() == stop_hist.tolist()
+    assert res.stop_hist.tolist() == stop_hist.tolist()
     assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
-    assert np.array_equal(res.errors.joint_err, fails / trials)
+    assert np.array_equal(res.joint_err, fails / trials)
 
 
 def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
     searched, _ = search_permutation_code(2, 3)
     ident = identity_code(2, 3)
-    for i, db in enumerate((15.0, 20.0)):
+    for db in (15.0, 20.0):
         eta = SnrPoint(db)
-        res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41, stream=i)
-        res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41, stream=i)
+        res_s = run_rateless_code_trials(searched, eta, 200_000, seed=41)
+        res_i = run_rateless_code_trials(ident, eta, 200_000, seed=41)
         # common random numbers: identical fading, noise, and messages
         assert np.array_equal(res_s.p_hat, res_i.p_hat)
-        slack = 3.0 * math.hypot(res_s.errors.p_e_stderr, res_i.errors.p_e_stderr)
-        assert res_s.errors.p_e <= res_i.errors.p_e + slack
-        assert res_s.errors.p_e < res_i.errors.p_e  # decisive at this sample size
+        slack = 3.0 * math.hypot(res_s.p_e_stderr, res_i.p_e_stderr)
+        assert res_s.p_e <= res_i.p_e + slack
+        assert res_s.p_e < res_i.p_e  # decisive at this sample size
 
 
 def test_conditional_error_decreases_with_snr():
     code, _ = search_permutation_code(2, 2)
     vals, prefix1 = [], []
-    for i, db in enumerate((10.0, 20.0, 30.0, 40.0)):
-        res = run_rateless_code_trials(code, SnrPoint(db), 200_000, seed=17, stream=i)
-        vals.append(res.errors.cond_err_nonoutage)
+    for db in (10.0, 20.0, 30.0, 40.0):
+        res = run_rateless_code_trials(code, SnrPoint(db), 200_000, seed=17)
+        vals.append(res.cond_err_nonoutage)
         prefix1.append(res.err_counts[0] / res.stop_hist[0])  # error given a stop at block 1
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(a > b for a, b in zip(prefix1, prefix1[1:]))
@@ -340,7 +344,7 @@ def test_decoding_error_rate_sits_below_final_outage():
     code, _ = search_permutation_code(2, 2)
     eta = SnrPoint(30.0)
     res = run_rateless_code_trials(code, eta, 200_000, seed=23)
-    assert res.errors.cond_err_nonoutage < rank_one_outage(1, 1, eta, 1.0)[0]
+    assert res.cond_err_nonoutage < rank_one_outage(1, 1, eta, 1.0)[0]
 
 
 def test_blanked_tail_blocks_leave_prefix_decoding_intact():
