@@ -29,6 +29,13 @@ DEFAULT_SEARCH_BUDGET = 200_000
 
 _HILL_CLIMB_RESTARTS = 16
 
+# ml_decode's screen: a row's top score must beat the runner-up by this share of
+# sum_i |A_i| max|B_i| + sum_k |y_k|^2; float64 rounding is about 1e-15 of that.
+_SCREEN_MARGIN = 1e-9
+
+# Scores per screened block: 512 KiB of float64
+_SCREEN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
@@ -213,14 +220,53 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
 
     table has shape (l, n_messages); row t of y (at least l columns) was
     received through gain h[t]. Minimizes the summed squared distance to
-    sqrt(eta) * h * x over all messages; ties resolve to the smallest
-    message index.
+    s * x, s = sqrt(eta) * h, over all messages; ties resolve to the
+    smallest message index.
+
+    Every block shares the gain s, so the minimizer maximizes the
+    correlation score sum_k Re(conj(s) y_k conj(x_k)) - |s|^2 E / 2, with
+    E = sum_k |x_k|^2. The scores of a batch are one real matrix product,
+    (rows x (2l+1)) @ ((2l+1) x n_messages), taken in cache-sized blocks.
+    That product is only a screen: its rounding can depend on the batch
+    shape. A row is decided by it only when its top score beats every
+    other score by `_SCREEN_MARGIN` of the row's magnitude scale, which
+    lies far above the rounding of both the product and the distance
+    sums. Every other row (exact ties and h = 0 among them) is re-decoded
+    by the elementwise distance sums. So each row decodes as the distance
+    sums alone would decode it, in any batch, chunk or worker count.
     """
-    scale = (sqrt_eta * h)[:, None]
-    d2 = np.zeros((len(h), table.shape[1]))
+    l, n_msgs = table.shape
+    s = sqrt_eta * h
+    a = np.conj(s)[:, None] * y[:, :l]
+    lhs = np.concatenate((a.real, a.imag, (-0.5 * np.abs(s) ** 2)[:, None]), axis=1)
+    rhs = np.concatenate((table.real, table.imag, np.sum(np.abs(table) ** 2, axis=0)[None, :]))
+    # |y|^2 bounds the rounding of the distance sums themselves, which matters when |s| << |y|
+    scale = np.abs(lhs) @ np.max(np.abs(rhs), axis=1)
+    for k in range(l):
+        scale += np.abs(y[:, k]) ** 2
+    decoded = np.empty(len(h), dtype=np.int64)
+    unclear = np.empty(len(h), dtype=bool)
+    step = _SCREEN_BLOCK // n_msgs  # a cache-sized block of scores at a time
+    for r0 in range(0, len(h), step):
+        scores = lhs[r0 : r0 + step] @ rhs
+        rows = np.arange(len(scores))
+        best = np.argmax(scores, axis=1)
+        top = scores[rows, best]
+        scores[rows, best] = -np.inf
+        runner_up = scores[rows, np.argmax(scores, axis=1)]  # argmax is faster than max on short rows
+        decoded[r0 : r0 + step] = best
+        unclear[r0 : r0 + step] = ~(top - runner_up > _SCREEN_MARGIN * scale[r0 : r0 + step])
+    if np.any(unclear):
+        decoded[unclear] = np.argmin(_distance_sums(table, y[unclear], s[unclear]), axis=1)
+    return decoded
+
+
+def _distance_sums(table: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k |y_k - s x_k|^2 for every row and message, summed block by block."""
+    d2 = np.zeros((len(s), table.shape[1]))
     for k, row in enumerate(table):
-        d2 += np.abs(y[:, k][:, None] - scale * row[None, :]) ** 2
-    return np.argmin(d2, axis=1)
+        d2 += np.abs(y[:, k][:, None] - s[:, None] * row[None, :]) ** 2
+    return d2
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +367,8 @@ def run_rateless_code_trials(
     L = code.L
     R = code.bits / L
     cfg = RatelessConfig(1, 1, L)
-    # bound the per-chunk distance matrix to ~32 MB for large codebooks
+    # bound the recheck's float64 distance matrix (chunk x 2^bits, should every row of a
+    # chunk be a near-tie) to 32 MiB; the screen itself works in 512 KiB blocks
     chunk = min(chunk, max(1 << 12, (1 << 22) // code.n_messages))
     (counts,) = simulate.stop_counts(
         cfg, [(eta, R)], trials, seed,

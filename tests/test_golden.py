@@ -31,6 +31,9 @@ CASES = {
     # or late (239), so the fixtures pin where the climb stops a restart.
     "codes_hillclimb_L3_b3_budget240": ["codes", "--L", "3", "--bits", "3", "--budget", "240", *_CODES[2:]],
     "codes_hillclimb_L3_b3_budget239": ["codes", "--L", "3", "--bits", "3", "--budget", "239", *_CODES[2:]],
+    # Large codebooks, where the ML decoder runs on 64 and 256 messages.
+    "codes_identity_b8": ["codes", "--bits", "8", "--identity", *_CODES],
+    "codes_hillclimb_L2_b6": ["codes", "--L", "2", "--bits", "6", "--budget", "2000", *_CODES[2:]],
 }
 
 

@@ -10,6 +10,7 @@ from reference import rateless_stop
 
 from rateless_dmt import (
     SnrPoint,
+    permcode,
     rng,
     build_qam,
     identity_code,
@@ -240,6 +241,100 @@ def test_decode_agrees_with_plain_python_oracle():
         y = y + (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
         best = _brute_force_decode(code, y, h, eta)
         assert _decode(code, y, h, eta) == best
+
+
+def _random_perm_code(L, bits, seed):
+    """A PermutationCode with uniformly random tail permutations, built without search."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    n = 2**bits
+    perms = (tuple(range(n)),) + tuple(tuple(int(i) for i in gen.permutation(n)) for _ in range(L - 1))
+    return PermutationCode(constellation=build_qam(bits), perms=perms)
+
+
+_LARGE_CODES = {
+    "identity_L2_b8": lambda: identity_code(2, 8),
+    "random_L3_b6": lambda: _random_perm_code(3, 6, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_CODES))
+def test_decode_batch_matches_rows_alone_and_brute_force(name):
+    # the batched screen may round differently by batch shape; the decisions may not
+    code = _LARGE_CODES[name]()
+    gen = np.random.Generator(np.random.PCG64(99))
+    rows = 4096
+    for db in (0.0, 20.0, 40.0, 60.0, 80.0):
+        eta = SnrPoint(db)
+        sqrt_eta = math.sqrt(eta.eta_linear)
+        h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
+        msg = gen.integers(code.n_messages, size=rows)
+        noise = (gen.normal(size=(rows, code.L)) + 1j * gen.normal(size=(rows, code.L))) * math.sqrt(0.5)
+        y = sqrt_eta * h[:, None] * code.symbol_table[:, msg].T + noise
+        for l in range(1, code.L + 1):
+            table = code.symbol_table[:l]
+            batch = ml_decode(table, y, h, sqrt_eta)
+            alone = [int(ml_decode(table, y[t : t + 1], h[t : t + 1], sqrt_eta)[0]) for t in range(rows)]
+            assert batch.tolist() == alone, (db, l)
+            for t in range(0, rows, 64):
+                assert batch[t] == _brute_force_decode(code, y[t, :l], h[t], eta), (db, l, t)
+
+
+def _nearest_neighbour(code, a, l):
+    d2 = np.sum(np.abs(code.symbol_table[:l] - code.symbol_table[:l, a : a + 1]) ** 2, axis=0)
+    d2[a] = math.inf
+    return int(np.argmin(d2))
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_CODES))
+def test_decode_rechecks_ties_and_zero_gain_rows(name, monkeypatch):
+    # h = 0 scores every message zero; a received midpoint between two nearest codewords is
+    # an exact tie. Both must fall to the elementwise recheck and decode alike in any batch.
+    code = _LARGE_CODES[name]()
+    gen = np.random.Generator(np.random.PCG64(7))
+    sqrt_eta = math.sqrt(SnrPoint(30.0).eta_linear)
+    rows = 256
+    h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
+    y = (gen.normal(size=(rows, code.L)) + 1j * gen.normal(size=(rows, code.L))) * math.sqrt(0.5)
+    y += sqrt_eta * h[:, None] * code.symbol_table[:, gen.integers(code.n_messages, size=rows)].T
+    zero_rows = [3, 100, 201]
+    h[zero_rows] = 0.0
+    rechecked = []
+    distance_sums = permcode._distance_sums
+
+    def spy(table, received, s):
+        rechecked.extend(row.tobytes() for row in received)
+        return distance_sums(table, received, s)
+
+    monkeypatch.setattr(permcode, "_distance_sums", spy)
+    for l in range(1, code.L + 1):
+        table = code.symbol_table[:l]
+        ties = {}
+        for t, a in zip((10, 50, 150, 250), (0, 1, code.n_messages // 2, code.n_messages - 1)):
+            b = _nearest_neighbour(code, a, l)
+            y[t, :l] = sqrt_eta * h[t] * (table[:, a] + table[:, b]) / 2
+            ties[t] = {a, b}
+        rechecked.clear()
+        batch = ml_decode(table, y, h, sqrt_eta)
+        assert {y[t].tobytes() for t in [*zero_rows, *ties]} <= set(rechecked)
+        for t in zero_rows:
+            assert batch[t] == 0
+        for t, pair in ties.items():
+            assert int(batch[t]) in pair
+        for t in [*zero_rows, *ties]:
+            assert ml_decode(table, y[t : t + 1], h[t : t + 1], sqrt_eta)[0] == batch[t]
+
+
+def test_large_code_trials_identical_across_chunks_and_workers():
+    # chunk = 1 decodes one-row batches, where a bare matrix product rounds differently
+    code = identity_code(2, 8)
+    runs = [
+        run_rateless_code_trials(code, SnrPoint(30.0), 3000, seed=19, chunk=c, workers=w)
+        for c, w in ((1, 1), (37, 3), (rng.DEFAULT_CHUNK, 1))
+    ]
+    for res in runs[1:]:
+        assert res.stop_hist.tolist() == runs[0].stop_hist.tolist()
+        assert res.err_counts.tolist() == runs[0].err_counts.tolist()
+    assert runs[0].err_counts.sum() > 0
 
 
 def test_trials_stop_probabilities_match_closed_form():
