@@ -316,10 +316,10 @@ class CodeTrialResult(SnrRecord):
 class _PrefixErrors:
     """Decoder hook for :func:`simulate.stop_counts`: errors per stopping block.
 
-    Trial layout in the substream: one uniform for the message, two for
-    the fading draw, 2L for the block noises. The layout is independent
-    of the codebook, so runs with equal seeds share all randomness; that
-    is what makes paired code comparisons tight.
+    One uniform for the message before the fading draw, 2L for the noises
+    after it, whatever the codebook, so equal seeds share all randomness and
+    paired code comparisons stay tight. A trial that stops at block l converts
+    only its fading and first 2l noise uniforms; an outage converts none.
     """
 
     lead = 1
@@ -329,20 +329,19 @@ class _PrefixErrors:
         self.trail = 2 * code.L
         self.sqrt_eta = math.sqrt(eta.eta_linear)
 
-    def __call__(self, u: np.ndarray, short: list[np.ndarray]) -> np.ndarray:
+    def __call__(self, lead, fading, trail, short) -> np.ndarray:
         L, n_msgs = self.table.shape
-        msg = np.minimum((u[:, 0] * n_msgs).astype(np.int64), n_msgs - 1)
-        z = rng.complex_normals(u[:, 1:])  # the fading draw, then the block noises
-        h, noise = z[:, 0], z[:, 1:]
-        y = self.sqrt_eta * h[:, None] * self.table[:, msg].T + noise
+        msg = np.minimum((lead[:, 0] * n_msgs).astype(np.int64), n_msgs - 1)
         err_counts = np.zeros(L, dtype=np.int64)
-        undecided = np.ones(len(u), dtype=bool)
+        left = np.ones(len(msg), dtype=bool)
         for l in range(1, L + 1):
-            sel = undecided & ~short[l - 1]  # stops at block l
-            undecided = short[l - 1]
-            if np.any(sel):
-                decoded = ml_decode(self.table[:l], y[sel], h[sel], self.sqrt_eta)
-                err_counts[l - 1] = np.count_nonzero(decoded != msg[sel])
+            stop = left & ~short[l - 1]  # stops at block l
+            left = short[l - 1]
+            (h,) = rng.complex_normals(fading[stop]).T
+            noise = rng.complex_normals(trail[stop, : 2 * l])
+            y = self.sqrt_eta * h[:, None] * self.table[:l, msg[stop]].T + noise
+            decoded = ml_decode(self.table[:l], y, h, self.sqrt_eta)
+            err_counts[l - 1] = np.count_nonzero(decoded != msg[stop])
         return err_counts
 
 

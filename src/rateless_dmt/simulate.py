@@ -219,10 +219,10 @@ def stop_counts(
     matrix once; its SNR-free statistics then serve every point and
     every l, so the points share the draw (common random numbers), and a
     point's row does not depend on the other points or their order. A
-    decoder riding along takes exactly one point; it reserves
-    `decoder.lead` uniforms before the fading draw and `decoder.trail`
-    after, is called per chunk as decoder(u, short) with the uniforms and
-    the still-short masks, and its count vector is appended to the row.
+    decoder riding along takes exactly one point and reserves `decoder.lead`
+    uniforms before the fading draw and `decoder.trail` after; this function
+    alone cuts those blocks and calls decoder(lead, fading, trail, short)
+    per chunk with them and the still-short masks. Its counts end the row.
     The counts do not depend on the chunk size or the worker count.
     """
     if trials < 1:
@@ -240,14 +240,15 @@ def stop_counts(
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
         u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
-        stats = channel_stats(u[:, lead : lead + n_h], M, N)
+        blocks = (u[:, :lead], u[:, lead : lead + n_h], u[:, lead + n_h :])  # lead, fading, trail
+        stats = channel_stats(blocks[1], M, N)
         rows = []
         for eta, R in points:
             short = still_short(block_info(stats, eta.eta_linear, M), R, L)
             # nested masks: the drop in the short count at block l is the trials that stop there
             left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
             stops = -np.diff(left)
-            rows.append(stops if decoder is None else np.concatenate((stops, decoder(u, short))))
+            rows.append(stops if decoder is None else np.concatenate((stops, decoder(*blocks, short))))
         return np.stack(rows)
 
     # integer sums, so the result is exact in any order

@@ -29,6 +29,7 @@ from rateless_dmt.permcode import (
     parse_codebook,
     save_codebook,
 )
+from rateless_dmt.rng import complex_normals
 from rateless_dmt.verify import exact_cells
 
 
@@ -382,32 +383,50 @@ def test_trials_rate_comes_from_codebook():
 
 
 def test_trials_stop_and_errors_match_scalar_reference():
-    # code-trial layout per trial: message uniform, two for h, 2L for the noises
-    code, _ = search_permutation_code(2, 3)
-    L, n = code.L, code.n_messages
-    eta = SnrPoint(12.0)
-    R = code.bits / L
-    trials, seed = 3000, 13
-    res = run_rateless_code_trials(code, eta, trials, seed, chunk=500, workers=2)
+    # code-trial layout per trial: message uniform, two for h, 2L for the noises. At L=3
+    # the middle stop block l=2 decodes a prefix that is neither the first nor the whole.
+    for L, bits in ((2, 3), (3, 2)):
+        code, _ = search_permutation_code(L, bits)
+        n = code.n_messages
+        eta = SnrPoint(12.0)
+        R = code.bits / L
+        trials, seed = 3000, 13
+        res = run_rateless_code_trials(code, eta, trials, seed, chunk=500, workers=2)
 
-    u = rng.trial_uniforms(rng.stream_key(seed, 0), 3 + 2 * L, 0, trials)
-    stop_hist = np.zeros(L + 1, dtype=np.int64)
-    fails = np.zeros(L, dtype=np.int64)
-    for row in u:
-        m = min(int(row[0] * n), n - 1)
-        h = complex(rng.complex_normals(row[1:3])[0])
-        noise = rng.complex_normals(row[3:])
-        stop = rateless_stop(math.log2(1.0 + eta.eta_linear * abs(h) ** 2), R, L)
-        if stop is None:
-            stop_hist[L] += 1
-            fails[L - 1] += 1
-            continue
-        stop_hist[stop - 1] += 1
-        y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:stop, m] + noise[:stop]
-        fails[stop - 1] += _brute_force_decode(code, y, h, eta) != m
-    assert res.stop_hist.tolist() == stop_hist.tolist()
-    assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
-    assert np.array_equal(res.joint_err, fails / trials)
+        u = rng.trial_uniforms(rng.stream_key(seed, 0), 3 + 2 * L, 0, trials)
+        stop_hist = np.zeros(L + 1, dtype=np.int64)
+        fails = np.zeros(L, dtype=np.int64)
+        for row in u:
+            m = min(int(row[0] * n), n - 1)
+            h = complex(rng.complex_normals(row[1:3])[0])
+            noise = rng.complex_normals(row[3:])
+            stop = rateless_stop(math.log2(1.0 + eta.eta_linear * abs(h) ** 2), R, L)
+            if stop is None:
+                stop_hist[L] += 1
+                fails[L - 1] += 1
+                continue
+            stop_hist[stop - 1] += 1
+            y = math.sqrt(eta.eta_linear) * h * code.symbol_table[:stop, m] + noise[:stop]
+            fails[stop - 1] += _brute_force_decode(code, y, h, eta) != m
+        assert res.stop_hist.tolist() == stop_hist.tolist()
+        assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
+        assert np.array_equal(res.joint_err, fails / trials)
+
+
+def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
+    # a trial that stops at block l turns its 2 fading and first 2l noise uniforms into
+    # normals; an outage trial converts none (whole trials would convert 2 + 2L = 6 each)
+    code, _ = search_permutation_code(2, 2)
+    converted = []
+
+    def spy(u):
+        converted.append(u.size)
+        return complex_normals(u)
+
+    monkeypatch.setattr(rng, "complex_normals", spy)
+    res = run_rateless_code_trials(code, SnrPoint(10.0), 4000, seed=5, chunk=1000)
+    assert np.all(res.stop_hist > 0)  # stops at blocks 1 and 2, and outages
+    assert sum(converted) == sum(res.stop_hist[l - 1] * (2 + 2 * l) for l in (1, 2))
 
 
 def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():

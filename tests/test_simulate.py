@@ -115,14 +115,24 @@ KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2
 
 
 class _CodeLayout:
-    """Decoder stub reserving the code-trial uniforms: one before the fading draw, 2L after."""
+    """Decoder stub reserving the code-trial uniforms: one before the fading draw, 2L after.
+
+    It asserts that each call gets 1, 2MN and 2L columns of the same chunk, and keeps
+    them, so a test can check that together they are exactly the trials' uniforms.
+    """
 
     lead = 1
 
-    def __init__(self, L):
+    def __init__(self, M, N, L):
         self.trail = 2 * L
+        self.widths = (1, 2 * M * N, 2 * L)
+        self.seen = []
 
-    def __call__(self, u, short):
+    def __call__(self, lead, fading, trail, short):
+        n = len(lead)
+        assert [b.shape for b in (lead, fading, trail)] == [(n, w) for w in self.widths]
+        assert [len(s) for s in short] == [n] * (self.trail // 2)
+        self.seen.append(np.hstack((lead, fading, trail)))
         return np.zeros(0, dtype=np.int64)
 
 
@@ -133,7 +143,7 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     cfg = RatelessConfig(M, N, L)
     eta = SnrPoint(10.0)
     trials, seed = 400, 21
-    decoder = _CodeLayout(L) if layout == "code" else None
+    decoder = _CodeLayout(M, N, L) if layout == "code" else None
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     u = rng.trial_uniforms(rng.stream_key(seed, 0), lead + 2 * M * N + trail, 0, trials)
     h = rng.complex_normals(u[:, lead : lead + 2 * M * N])
@@ -152,6 +162,9 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     # the full kernel, chunked and threaded, lands on the same histogram
     (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, chunk=64, workers=2, decoder=decoder)
     assert stops.tolist() == ref_hist.tolist()
+    if decoder:  # the three blocks of every chunk, in any chunk order, rebuild the uniforms
+        seen = np.concatenate(decoder.seen)
+        assert np.array_equal(seen[np.lexsort(seen.T)], u[np.lexsort(u.T)])
 
 
 def _siso_p(eta, thr):
@@ -388,4 +401,4 @@ def test_experiment_rejects_bad_args():
         stop_counts(SISO_L2, [], 100, seed=0)
     two = [(SnrPoint(10.0), 1.0), (SnrPoint(20.0), 1.0)]
     with pytest.raises(ValueError):
-        stop_counts(SISO_L2, two, 100, seed=0, decoder=_CodeLayout(2))  # a decoder takes one point
+        stop_counts(SISO_L2, two, 100, seed=0, decoder=_CodeLayout(1, 1, 2))  # a decoder takes one point
