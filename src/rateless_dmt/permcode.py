@@ -29,8 +29,8 @@ DEFAULT_SEARCH_BUDGET = 200_000
 
 _HILL_CLIMB_RESTARTS = 16
 
-# ml_decode's screen: a row's top score must beat the runner-up by this share of
-# sum_i |A_i| max|B_i| + sum_k |y_k|^2; float64 rounding is about 1e-15 of that.
+# ml_decode: a row's top score must beat the runner-up by this share of sum_i |A_i| max|B_i|
+# over the score's terms A_i B_i, plus sum_k |y_k|^2; float64 rounding is about 1e-15 of that.
 _SCREEN_MARGIN = 1e-9
 
 # Scores per screened block: 512 KiB of float64
@@ -225,29 +225,48 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
 
     Every block shares the gain s, so the minimizer maximizes the
     correlation score sum_k Re(conj(s) y_k conj(x_k)) - |s|^2 E / 2, with
-    E = sum_k |x_k|^2. The scores of a batch are one real matrix product,
-    (rows x (2l+1)) @ ((2l+1) x n_messages), taken in cache-sized blocks.
-    That product is only a screen: its rounding can depend on the batch
-    shape. A row is decided by it only when its top score beats every
-    other score by `_SCREEN_MARGIN` of the row's magnitude scale, which
-    lies far above the rounding of both the product and the distance
-    sums. Every other row (exact ties and h = 0 among them) is re-decoded
-    by the elementwise distance sums. So each row decodes as the distance
-    sums alone would decode it, in any batch, chunk or worker count.
+    E = sum_k |x_k|^2. Block 1 of a QAM code (l = 1, table exactly
+    `build_qam(bits).points`) is decided by per-axis slicing, O(1) per row;
+    any other prefix by one real matrix product, (rows x (2l+1)) @
+    ((2l+1) x n_messages), in cache-sized blocks. Either fast path decides
+    a row only when its top score beats every other score by
+    `_SCREEN_MARGIN` of the row's magnitude scale, far above the rounding
+    of the distance sums and of the fast path, which can depend on the
+    batch shape. Every other row (exact ties and h = 0 among them) is
+    re-decoded by the elementwise distance sums. So each row decodes as
+    the distance sums alone would decode it, in any batch, chunk or worker
+    count.
     """
     l, n_msgs = table.shape
     s = sqrt_eta * h
     a = np.conj(s)[:, None] * y[:, :l]
-    lhs = np.concatenate((a.real, a.imag, (-0.5 * np.abs(s) ** 2)[:, None]), axis=1)
-    rhs = np.concatenate((table.real, table.imag, np.sum(np.abs(table) ** 2, axis=0)[None, :]))
+    g = np.abs(s) ** 2
+    energy = np.sum(np.abs(table) ** 2, axis=0)
+    # sum_i |A_i| max|B_i|, column by column (a matrix product over so few terms is slower);
     # |y|^2 bounds the rounding of the distance sums themselves, which matters when |s| << |y|
-    scale = np.abs(lhs) @ np.max(np.abs(rhs), axis=1)
-    for k in range(l):
-        scale += np.abs(y[:, k]) ** 2
-    decoded = np.empty(len(h), dtype=np.int64)
-    unclear = np.empty(len(h), dtype=bool)
-    step = _SCREEN_BLOCK // n_msgs  # a cache-sized block of scores at a time
-    for r0 in range(0, len(h), step):
+    scale = 0.5 * np.max(energy) * g
+    for k, x in enumerate(table):
+        scale += np.abs(a[:, k].real) * np.max(np.abs(x.real)) + np.abs(y[:, k]) ** 2
+        scale += np.abs(a[:, k].imag) * np.max(np.abs(x.imag))
+    bits = n_msgs.bit_length() - 1
+    if l == 1 and 1 <= bits <= MAX_BITS and np.array_equal(table[0], build_qam(bits).points):
+        decoded, gap = _slice_qam(a[:, 0], g, table[0], 2 ** ((bits + 1) // 2))
+    else:
+        decoded, gap = _screen(a, g, table, energy)
+    unclear = ~(gap > _SCREEN_MARGIN * scale)
+    if np.any(unclear):
+        decoded[unclear] = np.argmin(_distance_sums(table, y[unclear], s[unclear]), axis=1)
+    return decoded
+
+
+def _screen(a, g, table, energy) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top-scoring message by one real matrix product, and its lead on the runner-up."""
+    lhs = np.concatenate((a.real, a.imag, (-0.5 * g)[:, None]), axis=1)
+    rhs = np.concatenate((table.real, table.imag, energy[None, :]))
+    decoded = np.empty(len(a), dtype=np.int64)
+    gap = np.empty(len(a))
+    step = _SCREEN_BLOCK // table.shape[1]  # a cache-sized block of scores at a time
+    for r0 in range(0, len(a), step):
         scores = lhs[r0 : r0 + step] @ rhs
         rows = np.arange(len(scores))
         best = np.argmax(scores, axis=1)
@@ -255,10 +274,33 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
         scores[rows, best] = -np.inf
         runner_up = scores[rows, np.argmax(scores, axis=1)]  # argmax is faster than max on short rows
         decoded[r0 : r0 + step] = best
-        unclear[r0 : r0 + step] = ~(top - runner_up > _SCREEN_MARGIN * scale[r0 : r0 + step])
-    if np.any(unclear):
-        decoded[unclear] = np.argmin(_distance_sums(table, y[unclear], s[unclear]), axis=1)
-    return decoded
+        gap[r0 : r0 + step] = top - runner_up
+    return decoded, gap
+
+
+def _slice_qam(a, g, grid: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point of the w-wide QAM grid to a / g, axis by axis, and each row's score gap.
+
+    On an axis of n levels and half-spacing c, v = a / (2 c g) + n / 2 puts level k at
+    v = k + 1/2 and the decision boundaries at the integers. The score a x - g x^2 / 2 drops
+    by 4 c^2 g delta to the runner-up, delta = 1/2 - |v - k - 1/2| being the distance to the
+    nearer boundary beside level k; an axis of one level gets delta = 1/2.
+    """
+    c = np.min(np.abs(grid.real))  # the innermost real level sits at +-c
+    index = np.zeros(len(a))
+    off = np.zeros(len(a))  # 1/2 - delta, the largest over the axes
+    for part, n, stride in ((a.real, w, 1), (a.imag, len(grid) // w, w)):
+        with np.errstate(divide="ignore", invalid="ignore"):  # g = 0, whose gap is 0 below
+            v = part / g
+        v *= 0.5 / c
+        v += n / 2
+        # NaN goes to level 0; past an edge level, delta = 1/2 understates the gap
+        np.fmin(np.fmax(v, 0.5, out=v), n - 0.5, out=v)
+        k = np.floor(v)
+        v -= k + 0.5
+        np.maximum(off, np.abs(v, out=v), out=off)
+        index += stride * k
+    return index.astype(np.int64), (0.5 - off) * g * (4 * c * c)
 
 
 def _distance_sums(table: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -331,18 +373,24 @@ class _PrefixErrors:
 
     def __call__(self, lead, fading, trail, short) -> np.ndarray:
         L, n_msgs = self.table.shape
-        msg = np.minimum((lead[:, 0] * n_msgs).astype(np.int64), n_msgs - 1)
         err_counts = np.zeros(L, dtype=np.int64)
-        left = np.ones(len(msg), dtype=bool)
+        left = np.ones(len(lead), dtype=bool)
         for l in range(1, L + 1):
-            stop = left & ~short[l - 1]  # stops at block l
+            stop = np.flatnonzero(left & ~short[l - 1])  # stops at block l
             left = short[l - 1]
-            (h,) = rng.complex_normals(fading[stop]).T
-            noise = rng.complex_normals(trail[stop, : 2 * l])
-            y = self.sqrt_eta * h[:, None] * self.table[:l, msg[stop]].T + noise
+            (h,) = rng.complex_normals(_rows(fading, stop)).T
+            y = rng.complex_normals(_rows(trail[:, : 2 * l], stop))  # the noise, then y in place
+            sent = np.minimum((lead[:, 0][stop] * n_msgs).astype(np.int64), n_msgs - 1)
+            y += self.sqrt_eta * h[:, None] * self.table[:l, sent].T
             decoded = ml_decode(self.table[:l], y, h, self.sqrt_eta)
-            err_counts[l - 1] = np.count_nonzero(decoded != msg[stop])
+            err_counts[l - 1] = np.count_nonzero(decoded != sent)
         return err_counts
+
+
+def _rows(block: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """block[idx], gathered as one opaque item per row: faster than numpy's gather of strided rows."""
+    items = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))[:, 0]
+    return items[idx].view(block.dtype).reshape(len(idx), block.shape[1])
 
 
 def run_rateless_code_trials(

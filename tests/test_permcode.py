@@ -325,6 +325,116 @@ def test_decode_rechecks_ties_and_zero_gain_rows(name, monkeypatch):
             assert ml_decode(table, y[t : t + 1], h[t : t + 1], sqrt_eta)[0] == batch[t]
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of each call of permcode.<name>, and pass the call through."""
+    calls = []
+    real = getattr(permcode, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(permcode, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("bits", range(1, permcode.MAX_BITS + 1))
+def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch):
+    # odd bits give rectangular grids, and bits = 1 an imaginary axis of one level
+    const = build_qam(bits)
+    code = PermutationCode(constellation=const, perms=(tuple(range(const.size)),))
+    table = code.symbol_table
+    xs = np.unique(const.points.real)
+    ys = np.unique(const.points.imag)
+    assert len(xs) * len(ys) == const.size and len(xs) >= len(ys)
+    # every decision boundary between adjacent levels, on each axis, at every level of the other
+    edges = [complex(b, y) for b in (xs[1:] + xs[:-1]) / 2 for y in ys]
+    edges += [complex(x, b) for b in (ys[1:] + ys[:-1]) / 2 for x in xs]
+    # and just off each, by far less than the recheck's margin but far more than rounding
+    edges += [e + 1e-12 * (1 + 1j) for e in edges]
+    gen = np.random.Generator(np.random.PCG64(bits))
+    distance_sums = permcode._distance_sums
+    slicer = _spy(monkeypatch, "_slice_qam")
+    screen = _spy(monkeypatch, "_screen")
+    rechecked = _spy(monkeypatch, "_distance_sums")
+    for db in (0.0, 20.0, 40.0, 60.0, 80.0):
+        eta = SnrPoint(db)
+        sqrt_eta = math.sqrt(eta.eta_linear)
+        rows = 256 + len(edges)
+        h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
+        sent = table[0, gen.integers(const.size, size=rows)]
+        y = sqrt_eta * h * sent + (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
+        # rows past the outer edge: of the real axis at a random level (32), and of a corner (32)
+        far = gen.choice([-1.0, 1.0], size=(64, 2)) * gen.uniform(1.05, 4.0, size=(64, 2))
+        y[:64] = sqrt_eta * h[:64] * (far[:, 0] * xs[-1] + 1j * far[:, 1] * ys[-1])
+        y[:32] = sqrt_eta * h[:32] * (far[:32, 0] * xs[-1] + 1j * gen.choice(ys, size=32))
+        y[256:] = sqrt_eta * h[256:] * np.array(edges)
+        h[[5, 77, 200]] = 0.0
+        for calls in (slicer, screen, rechecked):
+            calls.clear()
+        decoded = ml_decode(table, y[:, None], h, sqrt_eta)
+        assert len(slicer) == 1 and not screen
+        s = sqrt_eta * h
+        assert decoded.tolist() == np.argmin(distance_sums(table, y[:, None], s), axis=1).tolist()
+        for t in range(256):
+            assert decoded[t] == _brute_force_decode(code, y[t : t + 1], h[t], eta), (db, t)
+        # a row on a boundary is an exact tie, which rounding breaks: either side is ML
+        for t, edge in enumerate(edges, start=256):
+            pair = np.argsort(np.abs(const.points - edge))[:2]
+            assert {decoded[t], _brute_force_decode(code, y[t : t + 1], h[t], eta)} <= set(pair)
+        reached = {row.tobytes() for _, received, _ in rechecked for row in received}
+        for t in [5, 77, 200, *range(256, rows)]:
+            assert y[t : t + 1].tobytes() in reached, (db, t)
+        assert decoded[[5, 77, 200]].tolist() == [0, 0, 0]
+        # the recheck is for near-ties alone: most random rows are decided by slicing
+        assert len(reached) < 3 + len(edges) + 16
+
+
+def _reordered_grid_code(bits):
+    """A codebook, read back from text, whose block 1 is the QAM grid in reverse order."""
+    points = build_qam(bits).points[::-1]
+    n = len(points)
+    code = PermutationCode(constellation=Constellation(points=points, bits=bits), perms=(tuple(range(n)),) * 2)
+    return parse_codebook(codebook_text(code))
+
+
+def _rotated_code(bits):
+    """A unit-energy constellation off the grid: QAM turned by 0.3 rad, random tail permutation."""
+    points = build_qam(bits).points * np.exp(0.3j)
+    perms = _random_perm_code(2, bits, seed=3).perms
+    return PermutationCode(constellation=Constellation(points=points, bits=bits), perms=perms)
+
+
+@pytest.mark.parametrize("make", [_reordered_grid_code, _rotated_code], ids=["reordered", "rotated"])
+def test_block_one_off_the_grid_takes_the_screen(make, monkeypatch):
+    code = make(4)
+    assert not np.array_equal(code.symbol_table[0], build_qam(4).points)
+    gen = np.random.Generator(np.random.PCG64(11))
+    rows = 512
+    slicer = _spy(monkeypatch, "_slice_qam")
+    screen = _spy(monkeypatch, "_screen")
+    for db in (0.0, 20.0, 40.0):
+        eta = SnrPoint(db)
+        sqrt_eta = math.sqrt(eta.eta_linear)
+        h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
+        noise = (gen.normal(size=(rows, 2)) + 1j * gen.normal(size=(rows, 2))) * math.sqrt(0.5)
+        y = sqrt_eta * h[:, None] * code.symbol_table[:, gen.integers(16, size=rows)].T + noise
+        for l in (1, 2):
+            screen.clear()
+            decoded = ml_decode(code.symbol_table[:l], y, h, sqrt_eta)
+            assert len(screen) == 1
+            for t in range(rows):
+                assert decoded[t] == _brute_force_decode(code, y[t, :l], h[t], eta), (db, l, t)
+    assert not slicer
+    # the same rows through the grid code slice at l = 1 and screen at l = 2
+    grid = identity_code(2, 4)
+    for l in (1, 2):
+        slicer.clear()
+        screen.clear()
+        ml_decode(grid.symbol_table[:l], y, h, sqrt_eta)
+        assert (len(slicer), len(screen)) == ((1, 0) if l == 1 else (0, 1))
+
+
 def test_large_code_trials_identical_across_chunks_and_workers():
     # chunk = 1 decodes one-row batches, where a bare matrix product rounds differently
     code = identity_code(2, 8)
