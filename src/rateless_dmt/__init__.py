@@ -8,7 +8,6 @@ runs the verification suite.
 
 from .configs import RatelessConfig
 from .permcode import (
-    Constellation,
     PermutationCode,
     build_qam,
     identity_code,

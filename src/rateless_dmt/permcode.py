@@ -1,12 +1,12 @@
 """SISO permutation codes and their use as rateless codes.
 
-A codebook maps each of 2^bits messages to one constellation point per
-block; block 1 uses the points verbatim and every other block applies a
-permutation. Decoding works on whatever prefix of blocks the stopping
-rule releases, so permutations are scored by the minimum pairwise
-product distance of every prefix, longest prefix first. Each block is
-one channel use, so a code of `bits` bits runs at R = bits / L bits per
-channel use.
+A codebook maps each of 2^bits messages to one point of the 2^bits-point
+QAM grid per block; block 1 sends message m as grid point m and every
+other block applies a permutation. Decoding works on whatever prefix of
+blocks the stopping rule releases, so permutations are scored by the
+minimum pairwise product distance of every prefix, longest prefix first.
+Each block is one channel use, so a code of `bits` bits runs at
+R = bits / L bits per channel use.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,39 +37,14 @@ _SCREEN_MARGIN = 1e-9
 _SCREEN_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class Constellation:
-    """A normalized set of 2^bits distinct complex signal points."""
-
-    points: np.ndarray
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
-        if len(self.points) != 2**self.bits:
-            raise ValueError(
-                f"expected {2 ** self.bits} points for bits={self.bits}, got {len(self.points)}"
-            )
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("constellation points must be finite")
-        if len(np.unique(self.points)) != len(self.points):
-            raise ValueError("constellation points must be distinct")
-        energy = float(np.mean(np.abs(self.points) ** 2))
-        if abs(energy - 1.0) > 1e-12:
-            raise ValueError(f"mean energy must be 1 within 1e-12, got {energy!r}")
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
-def build_qam(bits: int) -> Constellation:
-    """Unit-energy QAM alphabet of 2^bits points.
+@cache
+def build_qam(bits: int) -> np.ndarray:
+    """Unit-energy QAM alphabet of 2^bits points, one read-only array per size.
 
     Even bit counts give the square grid; odd bit counts give the
     2^((bits+1)/2) x 2^((bits-1)/2) rectangular grid, which degenerates
-    to the +-1 pair at bits = 1.
+    to the +-1 pair at bits = 1. Point k sits at column k mod w, row
+    k // w, with w = 2^((bits+1)/2) levels on the real axis.
     """
     if not 1 <= bits <= MAX_BITS:
         raise ValueError(f"bits must be in 1..{MAX_BITS}, got {bits}")
@@ -80,20 +55,24 @@ def build_qam(bits: int) -> Constellation:
     grid = xs[None, :] + 1j * ys[:, None]
     points = grid.ravel()
     scale = 1.0 / math.sqrt(np.mean(np.abs(points) ** 2))
-    return Constellation(points=points * scale, bits=bits)
+    points = points * scale
+    points.setflags(write=False)
+    return points
 
 
 @dataclass(frozen=True, eq=False)
 class PermutationCode:
-    """L per-block permutations of one constellation; block 1 is identity."""
+    """L per-block permutations of the 2^bits-point QAM grid; block 1 is identity."""
 
-    constellation: Constellation
+    bits: int
     perms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
         if len(self.perms) < 1:
             raise ValueError("need at least one block")
-        n = self.constellation.size
+        n = self.n_messages
         identity = tuple(range(n))
         if self.perms[0] != identity:
             raise ValueError("perms[0] must be the identity permutation")
@@ -106,26 +85,20 @@ class PermutationCode:
         return len(self.perms)
 
     @property
-    def bits(self) -> int:
-        return self.constellation.bits
-
-    @property
     def n_messages(self) -> int:
-        return self.constellation.size
+        return 2**self.bits
 
     @cached_property
     def symbol_table(self) -> np.ndarray:
         """Shape (L, n_messages): symbol sent in block l for each message."""
-        pts = self.constellation.points
+        pts = build_qam(self.bits)
         return np.stack([pts[np.asarray(perm)] for perm in self.perms])
 
 
 def identity_code(L: int, bits: int) -> PermutationCode:
     """The repetition baseline: every block transmits the same point."""
     n = 2**bits
-    return PermutationCode(
-        constellation=build_qam(bits), perms=tuple(tuple(range(n)) for _ in range(L))
-    )
+    return PermutationCode(bits=bits, perms=tuple(tuple(range(n)) for _ in range(L)))
 
 
 def prefix_min_products(code: PermutationCode) -> tuple[float, ...]:
@@ -134,7 +107,7 @@ def prefix_min_products(code: PermutationCode) -> tuple[float, ...]:
     Entry l - 1 is min over message pairs of prod_{k <= l} |x_k - x'_k|.
     """
     i, j = np.triu_indices(code.n_messages, k=1)
-    return tuple(reversed(_objective(code.constellation.points, code.perms, i, j)))
+    return tuple(reversed(_objective(build_qam(code.bits), code.perms, i, j)))
 
 
 def _objective(points: np.ndarray, perms: Sequence[Sequence[int]], i, j) -> tuple[float, ...]:
@@ -166,11 +139,10 @@ def search_permutation_code(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    const = build_qam(bits)
-    n = const.size
+    points = build_qam(bits)
+    n = len(points)
     identity = tuple(range(n))
     i, j = np.triu_indices(n, k=1)
-    points = const.points
 
     best_perms = (identity,) * L
     best_obj = _objective(points, best_perms, i, j)
@@ -211,23 +183,22 @@ def search_permutation_code(
                         break
             consider(perms, obj)
 
-    code = PermutationCode(constellation=const, perms=best_perms)
+    code = PermutationCode(bits=bits, perms=best_perms)
     return code, prefix_min_products(code)
 
 
-def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) -> np.ndarray:
-    """Batched maximum-likelihood decoding over the prefix of blocks in `table`.
+def ml_decode(code: PermutationCode, l: int, y: np.ndarray, h: np.ndarray, sqrt_eta: float) -> np.ndarray:
+    """Batched maximum-likelihood decoding of `code` from its first l blocks.
 
-    table has shape (l, n_messages); row t of y (at least l columns) was
-    received through gain h[t]. Minimizes the summed squared distance to
-    s * x, s = sqrt(eta) * h, over all messages; ties resolve to the
-    smallest message index.
+    Row t of y (at least l columns) was received through gain h[t].
+    Minimizes the summed squared distance to s * x, s = sqrt(eta) * h, over
+    all messages; ties resolve to the smallest message index.
 
     Every block shares the gain s, so the minimizer maximizes the
     correlation score sum_k Re(conj(s) y_k conj(x_k)) - |s|^2 E / 2, with
-    E = sum_k |x_k|^2. Block 1 of a QAM code (l = 1, table exactly
-    `build_qam(bits).points`) is decided by per-axis slicing, O(1) per row;
-    any other prefix by one real matrix product, (rows x (2l+1)) @
+    E = sum_k |x_k|^2. Block 1 is the `build_qam(bits)` grid itself, so a
+    one-block prefix is decided by per-axis slicing, O(1) per row; a longer
+    prefix by one real matrix product, (rows x (2l+1)) @
     ((2l+1) x n_messages), in cache-sized blocks. Either fast path decides
     a row only when its top score beats every other score by
     `_SCREEN_MARGIN` of the row's magnitude scale, far above the rounding
@@ -237,7 +208,7 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
     the distance sums alone would decode it, in any batch, chunk or worker
     count.
     """
-    l, n_msgs = table.shape
+    table = code.symbol_table[:l]
     s = sqrt_eta * h
     a = np.conj(s)[:, None] * y[:, :l]
     g = np.abs(s) ** 2
@@ -248,9 +219,8 @@ def ml_decode(table: np.ndarray, y: np.ndarray, h: np.ndarray, sqrt_eta: float) 
     for k, x in enumerate(table):
         scale += np.abs(a[:, k].real) * np.max(np.abs(x.real)) + np.abs(y[:, k]) ** 2
         scale += np.abs(a[:, k].imag) * np.max(np.abs(x.imag))
-    bits = n_msgs.bit_length() - 1
-    if l == 1 and 1 <= bits <= MAX_BITS and np.array_equal(table[0], build_qam(bits).points):
-        decoded, gap = _slice_qam(a[:, 0], g, table[0], 2 ** ((bits + 1) // 2))
+    if l == 1:
+        decoded, gap = _slice_qam(a[:, 0], g, code.bits)
     else:
         decoded, gap = _screen(a, g, table, energy)
     unclear = ~(gap > _SCREEN_MARGIN * scale)
@@ -278,14 +248,16 @@ def _screen(a, g, table, energy) -> tuple[np.ndarray, np.ndarray]:
     return decoded, gap
 
 
-def _slice_qam(a, g, grid: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point of the w-wide QAM grid to a / g, axis by axis, and each row's score gap.
+def _slice_qam(a, g, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest point of the `build_qam(bits)` grid to a / g, axis by axis, and each row's score gap.
 
     On an axis of n levels and half-spacing c, v = a / (2 c g) + n / 2 puts level k at
     v = k + 1/2 and the decision boundaries at the integers. The score a x - g x^2 / 2 drops
     by 4 c^2 g delta to the runner-up, delta = 1/2 - |v - k - 1/2| being the distance to the
     nearer boundary beside level k; an axis of one level gets delta = 1/2.
     """
+    grid = build_qam(bits)
+    w = 2 ** ((bits + 1) // 2)  # levels on the real axis
     c = np.min(np.abs(grid.real))  # the innermost real level sits at +-c
     index = np.zeros(len(a))
     off = np.zeros(len(a))  # 1/2 - delta, the largest over the axes
@@ -367,12 +339,13 @@ class _PrefixErrors:
     lead = 1
 
     def __init__(self, code: PermutationCode, eta: SnrPoint):
-        self.table = code.symbol_table
+        self.code = code
         self.trail = 2 * code.L
         self.sqrt_eta = math.sqrt(eta.eta_linear)
 
     def __call__(self, lead, fading, trail, short) -> np.ndarray:
-        L, n_msgs = self.table.shape
+        table = self.code.symbol_table
+        L, n_msgs = table.shape
         err_counts = np.zeros(L, dtype=np.int64)
         left = np.ones(len(lead), dtype=bool)
         for l in range(1, L + 1):
@@ -381,8 +354,8 @@ class _PrefixErrors:
             (h,) = rng.complex_normals(_rows(fading, stop)).T
             y = rng.complex_normals(_rows(trail[:, : 2 * l], stop))  # the noise, then y in place
             sent = np.minimum((lead[:, 0][stop] * n_msgs).astype(np.int64), n_msgs - 1)
-            y += self.sqrt_eta * h[:, None] * self.table[:l, sent].T
-            decoded = ml_decode(self.table[:l], y, h, self.sqrt_eta)
+            y += self.sqrt_eta * h[:, None] * table[:l, sent].T
+            decoded = ml_decode(self.code, l, y, h, self.sqrt_eta)
             err_counts[l - 1] = np.count_nonzero(decoded != sent)
         return err_counts
 
@@ -425,9 +398,9 @@ def run_rateless_code_trials(
 
 
 def codebook_text(code: PermutationCode) -> str:
-    """Canonical plain-text form: L, bits, `re,im` point lines, L perm lines."""
+    """Canonical plain-text form: L, bits, the `build_qam(bits)` grid as `re,im` lines, L perm lines."""
     lines = [str(code.L), str(code.bits)]
-    for p in code.constellation.points:
+    for p in build_qam(code.bits):
         lines.append(f"{float(p.real)!r},{float(p.imag)!r}")
     for perm in code.perms:
         lines.append(" ".join(str(i) for i in perm))
@@ -440,7 +413,11 @@ def save_codebook(code: PermutationCode, path: str) -> None:
 
 
 def parse_codebook(text: str) -> PermutationCode:
-    """Parse the plain-text codebook format; errors carry the line number."""
+    """Parse the plain-text codebook format; errors carry the line number.
+
+    Point line k must hold exactly point k of `build_qam(bits)`, as
+    :func:`codebook_text` writes it.
+    """
     lines = text.splitlines()
 
     def need(idx: int) -> str:
@@ -459,18 +436,20 @@ def parse_codebook(text: str) -> PermutationCode:
     bits = parse_int(1, "bits")
     if L < 1 or not 1 <= bits <= MAX_BITS:
         raise ValueError(f"line 1: invalid dimensions L={L}, bits={bits}")
-    n = 2**bits
-    points = np.empty(n, dtype=complex)
-    for k in range(n):
+    grid = build_qam(bits)
+    n = len(grid)
+    for k, expected in enumerate(grid):
         idx = 2 + k
         raw = need(idx).strip()
         parts = raw.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {idx + 1}: expected `re,im`, got {raw!r}")
         try:
-            points[k] = complex(float(parts[0]), float(parts[1]))
+            point = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ValueError(f"line {idx + 1}: malformed point {raw!r}") from None
+        if point != expected:
+            raise ValueError(f"line {idx + 1}: expected point {k} of the {n}-point QAM grid, got {raw!r}")
     perms = []
     for k in range(L):
         idx = 2 + n + k
@@ -486,7 +465,7 @@ def parse_codebook(text: str) -> PermutationCode:
     if any(line.strip() for line in lines[extra:]):
         raise ValueError(f"line {extra + 1}: trailing content after codebook")
     try:
-        return PermutationCode(constellation=Constellation(points=points, bits=bits), perms=tuple(perms))
+        return PermutationCode(bits=bits, perms=tuple(perms))
     except ValueError as exc:
         raise ValueError(f"line 1: invalid codebook: {exc}") from None
 

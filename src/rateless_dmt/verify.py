@@ -203,10 +203,10 @@ _CODE_TRIALS = 10**6
 
 
 def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """Rateless 4-point code (R = bits / L = 1): stop oracle, error dominance, pairing."""
-    searched, _ = permcode.search_permutation_code(L=2, bits=2)
-    ident = permcode.identity_code(2, 2)
-    L = searched.L
+    """Rateless 8-point codes (R = bits / L = 1.5), searched and identity: stop oracle, errors, pairing."""
+    searched, _ = permcode.search_permutation_code(L=2, bits=3)
+    ident = permcode.identity_code(2, 3)
+    L, bits = searched.L, searched.bits
     failures = []
     notes = []
     stop_cells = []
@@ -215,12 +215,12 @@ def check_permutation_code_trials(seed: int, tol_scale: float) -> tuple[bool, st
         res_s = permcode.run_rateless_code_trials(searched, eta, _CODE_TRIALS, seed)
         res_i = permcode.run_rateless_code_trials(ident, eta, _CODE_TRIALS, seed)
         # (a) stop probabilities against the exact outage law, tested after the loop
-        for l in (1, 2):
-            oracle = simulate.rank_one_outage(1, 1, eta, 2.0 / l)[0]
+        for l in range(1, L + 1):
+            oracle = simulate.rank_one_outage(1, 1, eta, bits / l)[0]
             stop_cells.append((f"{db:g}dB p({l})", int(res_s.stop_hist[l:].sum()), res_s.trials, oracle))
         # (b) total error within a factor of 3 of the final-block outage
         if db >= 30.0:
-            p_L = simulate.rank_one_outage(1, 1, eta, 2.0 / L)[0]
+            p_L = simulate.rank_one_outage(1, 1, eta, bits / L)[0]
             ratio = res_s.p_e / p_L
             factor = 3.0 * tol_scale
             notes.append(f"{db:g}dB P_e/p(L)={ratio:.2f}")
@@ -281,9 +281,8 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
     for code in codes:
         for m in range(code.n_messages):
             for l in range(1, code.L + 1):
-                table = code.symbol_table[:l]
-                y = sqrt_eta * h * table[:, m]
-                if permcode.ml_decode(table, y[None, :], h, sqrt_eta)[0] != m:
+                y = sqrt_eta * h * code.symbol_table[:l, m]
+                if permcode.ml_decode(code, l, y[None, :], h, sqrt_eta)[0] != m:
                     return False, f"noiseless miss: L={code.L} bits={code.bits} m={m} l={l}"
                 checked += 1
 
@@ -297,9 +296,8 @@ def check_decoder_correctness(seed: int, tol_scale: float) -> tuple[bool, str]:
         m = int(gen.integers(code.n_messages))
         noise = (gen.normal(size=l) + 1j * gen.normal(size=l)) * math.sqrt(0.5)
         sqrt_eta = math.sqrt(eta_i.eta_linear)
-        table = code.symbol_table[:l]
-        y = sqrt_eta * h_i * table[:, m] + noise
-        decoded = permcode.ml_decode(table, y[None, :], np.array([h_i]), sqrt_eta)[0]
+        y = sqrt_eta * h_i * code.symbol_table[:l, m] + noise
+        decoded = permcode.ml_decode(code, l, y[None, :], np.array([h_i]), sqrt_eta)[0]
         if decoded != _brute_force_decode(code, y, h_i, eta_i.eta_linear, l):
             mismatches += 1
     return (

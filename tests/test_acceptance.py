@@ -26,7 +26,7 @@ def test_criterion(name):
 @pytest.mark.parametrize("seed", [1, 2026])
 def test_statistical_verdicts_stable_across_seeds(seed):
     # the most seed-sensitive checks keep their verdicts under reseeding
-    for name in ("outage-oracle", "effective-gain", "analytic-slope", "rate-collapse"):
+    for name in ("outage-oracle", "effective-gain", "analytic-slope", "rate-collapse", "permutation-code-trials"):
         result = verify.run_check(name, seed=seed)
         assert result.passed, f"{name} seed={seed}: {result.detail}"
 

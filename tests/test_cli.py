@@ -256,7 +256,7 @@ def test_codes_rejects_non_finite_codebook_point(tmp_path, capsys):
         "codes", "--codebook", str(bad), "--eta-db", "20,30",
         "--trials", "20000", "--seed", "1", "--out", str(out),
     ]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert "line 4: expected point 1 of the 4-point QAM grid" in capsys.readouterr().err
     assert not out.exists()
 
 

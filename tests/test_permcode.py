@@ -21,7 +21,6 @@ from rateless_dmt import (
 )
 from rateless_dmt.permcode import (
     CodeTrialResult,
-    Constellation,
     PermutationCode,
     codebook_text,
     load_codebook,
@@ -35,29 +34,28 @@ from rateless_dmt.verify import exact_cells
 
 def _decode(code, y, h, eta):
     """ML message for one received prefix y through the batched decoder."""
-    table = code.symbol_table[: len(y)]
     sqrt_eta = math.sqrt(eta.eta_linear)
-    return int(ml_decode(table, np.asarray(y)[None, :], np.array([h]), sqrt_eta)[0])
+    return int(ml_decode(code, len(y), np.asarray(y)[None, :], np.array([h]), sqrt_eta)[0])
 
 
 def test_qam_4_points():
     c = build_qam(2)
     a = 1.0 / math.sqrt(2.0)
     expected = {complex(sx * a, sy * a) for sx in (-1, 1) for sy in (-1, 1)}
-    assert set(np.round(c.points, 12)) == {complex(round(p.real, 12), round(p.imag, 12)) for p in expected}
+    assert set(np.round(c, 12)) == {complex(round(p.real, 12), round(p.imag, 12)) for p in expected}
 
 
 def test_qam_bpsk():
     c = build_qam(1)
-    assert sorted(c.points, key=lambda p: p.real) == [(-1 + 0j), (1 + 0j)]
+    assert sorted(c, key=lambda p: p.real) == [(-1 + 0j), (1 + 0j)]
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
 def test_qam_unit_energy_and_distinct(bits):
     c = build_qam(bits)
-    assert len(c.points) == 2**bits
-    assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) <= 1e-12
-    assert len(np.unique(c.points)) == len(c.points)
+    assert len(c) == 2**bits
+    assert abs(np.mean(np.abs(c) ** 2) - 1.0) <= 1e-12
+    assert len(np.unique(c)) == len(c)
 
 
 def test_qam_rejects_out_of_range_bits():
@@ -66,23 +64,22 @@ def test_qam_rejects_out_of_range_bits():
             build_qam(bits)
 
 
-def test_constellation_invariants():
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([1.0 + 0j, 1.0 + 0j]), bits=1)
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([2.0 + 0j, -2.0 + 0j]), bits=1)  # energy 4
-    with pytest.raises(ValueError):
-        Constellation(points=np.array([1.0 + 0j]), bits=0)
-    with pytest.raises(ValueError, match="finite"):
-        Constellation(points=np.array([complex(math.nan, 0.0), 1.0 + 0j]), bits=1)
+def test_qam_grid_is_one_read_only_array_per_size():
+    for bits in (1, 4, 8):
+        grid = build_qam(bits)
+        assert build_qam(bits) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
 
 
 def test_code_type_invariants():
-    c = build_qam(1)
     with pytest.raises(ValueError):
-        PermutationCode(constellation=c, perms=((1, 0),))  # block 1 must be identity
+        PermutationCode(bits=1, perms=((1, 0),))  # block 1 must be identity
     with pytest.raises(ValueError):
-        PermutationCode(constellation=c, perms=((0, 1), (0, 0)))
+        PermutationCode(bits=1, perms=((0, 1), (0, 0)))
+    for bits in (0, 9):
+        with pytest.raises(ValueError, match="bits"):
+            PermutationCode(bits=bits, perms=((0, 1),))
 
 
 def _min_distance(points):
@@ -104,7 +101,7 @@ def test_search_two_point_alphabet_ties_to_identity():
     code, per_prefix = search_permutation_code(L=2, bits=1)
     assert code.perms == ((0, 1), (0, 1))
     # oracle: both permutations of two points give the same products
-    pts = code.constellation.points
+    pts = build_qam(1)
     swap = abs(pts[1] - pts[0]) * abs(pts[0] - pts[1])
     assert per_prefix[1] == pytest.approx(swap)
 
@@ -116,7 +113,7 @@ def test_search_4qam_all_permutations_tie():
     # 24 candidates share the same full-prefix minimum. Tie-break returns
     # the identity.
     code, per_prefix = search_permutation_code(L=2, bits=2)
-    pts = code.constellation.points
+    pts = build_qam(2)
     all_perms = list(itertools.permutations(range(4)))
     i, j = np.triu_indices(4, k=1)
     d1 = np.abs(pts[i] - pts[j])
@@ -135,7 +132,7 @@ def test_search_8qam_strictly_improves_on_identity():
     code, per_prefix = search_permutation_code(L=2, bits=3)
     ident = identity_code(2, 3)
     best = _exhaustive_best_full_prefix(
-        code.constellation.points, itertools.permutations(range(8))
+        build_qam(3), itertools.permutations(range(8))
     )
     assert per_prefix[1] == pytest.approx(best)
     assert per_prefix[1] > prefix_min_products(ident)[1] + 0.2
@@ -146,7 +143,7 @@ def test_search_single_block_returns_constellation_distance():
     assert code.perms == (tuple(range(8)),)
     # one candidate, (8!)^0, so even a budget of 1 enumerates it
     assert search_permutation_code(L=1, bits=3, budget=1)[0].perms == code.perms
-    assert per_prefix == (pytest.approx(_min_distance(code.constellation.points)),)
+    assert per_prefix == (pytest.approx(_min_distance(build_qam(3))),)
     assert prefix_min_products(code) == per_prefix
 
 
@@ -167,13 +164,13 @@ def test_search_rejects_bad_budget():
 def test_encode_repetition_and_searched():
     # column m of the symbol table is the codeword of message m
     ident = identity_code(2, 2)
-    pts = ident.constellation.points
+    pts = build_qam(2)
     for m in range(4):
         assert np.array_equal(ident.symbol_table[:, m], np.array([pts[m], pts[m]]))
     searched, _ = search_permutation_code(2, 3)
     x = searched.symbol_table[:, 0]
-    assert x[0] == searched.constellation.points[0]
-    assert x[1] == searched.constellation.points[searched.perms[1][0]]
+    assert x[0] == build_qam(3)[0]
+    assert x[1] == build_qam(3)[searched.perms[1][0]]
 
 
 def test_codewords_differ_in_every_block():
@@ -249,7 +246,7 @@ def _random_perm_code(L, bits, seed):
     gen = np.random.Generator(np.random.PCG64(seed))
     n = 2**bits
     perms = (tuple(range(n)),) + tuple(tuple(int(i) for i in gen.permutation(n)) for _ in range(L - 1))
-    return PermutationCode(constellation=build_qam(bits), perms=perms)
+    return PermutationCode(bits=bits, perms=perms)
 
 
 _LARGE_CODES = {
@@ -259,9 +256,11 @@ _LARGE_CODES = {
 
 
 @pytest.mark.parametrize("name", sorted(_LARGE_CODES))
-def test_decode_batch_matches_rows_alone_and_brute_force(name):
+def test_decode_batch_matches_rows_alone_and_brute_force(name, monkeypatch):
     # the batched screen may round differently by batch shape; the decisions may not
     code = _LARGE_CODES[name]()
+    slicer = _spy(monkeypatch, "_slice_qam")
+    screen = _spy(monkeypatch, "_screen")
     gen = np.random.Generator(np.random.PCG64(99))
     rows = 4096
     for db in (0.0, 20.0, 40.0, 60.0, 80.0):
@@ -272,9 +271,12 @@ def test_decode_batch_matches_rows_alone_and_brute_force(name):
         noise = (gen.normal(size=(rows, code.L)) + 1j * gen.normal(size=(rows, code.L))) * math.sqrt(0.5)
         y = sqrt_eta * h[:, None] * code.symbol_table[:, msg].T + noise
         for l in range(1, code.L + 1):
-            table = code.symbol_table[:l]
-            batch = ml_decode(table, y, h, sqrt_eta)
-            alone = [int(ml_decode(table, y[t : t + 1], h[t : t + 1], sqrt_eta)[0]) for t in range(rows)]
+            slicer.clear()
+            screen.clear()
+            batch = ml_decode(code, l, y, h, sqrt_eta)
+            # block 1 is the grid, sliced; every longer prefix is screened
+            assert (len(slicer), len(screen)) == ((1, 0) if l == 1 else (0, 1))
+            alone = [int(ml_decode(code, l, y[t : t + 1], h[t : t + 1], sqrt_eta)[0]) for t in range(rows)]
             assert batch.tolist() == alone, (db, l)
             for t in range(0, rows, 64):
                 assert batch[t] == _brute_force_decode(code, y[t, :l], h[t], eta), (db, l, t)
@@ -315,14 +317,14 @@ def test_decode_rechecks_ties_and_zero_gain_rows(name, monkeypatch):
             y[t, :l] = sqrt_eta * h[t] * (table[:, a] + table[:, b]) / 2
             ties[t] = {a, b}
         rechecked.clear()
-        batch = ml_decode(table, y, h, sqrt_eta)
+        batch = ml_decode(code, l, y, h, sqrt_eta)
         assert {y[t].tobytes() for t in [*zero_rows, *ties]} <= set(rechecked)
         for t in zero_rows:
             assert batch[t] == 0
         for t, pair in ties.items():
             assert int(batch[t]) in pair
         for t in [*zero_rows, *ties]:
-            assert ml_decode(table, y[t : t + 1], h[t : t + 1], sqrt_eta)[0] == batch[t]
+            assert ml_decode(code, l, y[t : t + 1], h[t : t + 1], sqrt_eta)[0] == batch[t]
 
 
 def _spy(monkeypatch, name):
@@ -341,12 +343,12 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("bits", range(1, permcode.MAX_BITS + 1))
 def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch):
     # odd bits give rectangular grids, and bits = 1 an imaginary axis of one level
-    const = build_qam(bits)
-    code = PermutationCode(constellation=const, perms=(tuple(range(const.size)),))
+    grid = build_qam(bits)
+    code = identity_code(1, bits)
     table = code.symbol_table
-    xs = np.unique(const.points.real)
-    ys = np.unique(const.points.imag)
-    assert len(xs) * len(ys) == const.size and len(xs) >= len(ys)
+    xs = np.unique(grid.real)
+    ys = np.unique(grid.imag)
+    assert len(xs) * len(ys) == len(grid) and len(xs) >= len(ys)
     # every decision boundary between adjacent levels, on each axis, at every level of the other
     edges = [complex(b, y) for b in (xs[1:] + xs[:-1]) / 2 for y in ys]
     edges += [complex(x, b) for b in (ys[1:] + ys[:-1]) / 2 for x in xs]
@@ -362,7 +364,7 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
         sqrt_eta = math.sqrt(eta.eta_linear)
         rows = 256 + len(edges)
         h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
-        sent = table[0, gen.integers(const.size, size=rows)]
+        sent = grid[gen.integers(len(grid), size=rows)]
         y = sqrt_eta * h * sent + (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
         # rows past the outer edge: of the real axis at a random level (32), and of a corner (32)
         far = gen.choice([-1.0, 1.0], size=(64, 2)) * gen.uniform(1.05, 4.0, size=(64, 2))
@@ -372,7 +374,7 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
         h[[5, 77, 200]] = 0.0
         for calls in (slicer, screen, rechecked):
             calls.clear()
-        decoded = ml_decode(table, y[:, None], h, sqrt_eta)
+        decoded = ml_decode(code, 1, y[:, None], h, sqrt_eta)
         assert len(slicer) == 1 and not screen
         s = sqrt_eta * h
         assert decoded.tolist() == np.argmin(distance_sums(table, y[:, None], s), axis=1).tolist()
@@ -380,7 +382,7 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
             assert decoded[t] == _brute_force_decode(code, y[t : t + 1], h[t], eta), (db, t)
         # a row on a boundary is an exact tie, which rounding breaks: either side is ML
         for t, edge in enumerate(edges, start=256):
-            pair = np.argsort(np.abs(const.points - edge))[:2]
+            pair = np.argsort(np.abs(grid - edge))[:2]
             assert {decoded[t], _brute_force_decode(code, y[t : t + 1], h[t], eta)} <= set(pair)
         reached = {row.tobytes() for _, received, _ in rechecked for row in received}
         for t in [5, 77, 200, *range(256, rows)]:
@@ -388,51 +390,6 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
         assert decoded[[5, 77, 200]].tolist() == [0, 0, 0]
         # the recheck is for near-ties alone: most random rows are decided by slicing
         assert len(reached) < 3 + len(edges) + 16
-
-
-def _reordered_grid_code(bits):
-    """A codebook, read back from text, whose block 1 is the QAM grid in reverse order."""
-    points = build_qam(bits).points[::-1]
-    n = len(points)
-    code = PermutationCode(constellation=Constellation(points=points, bits=bits), perms=(tuple(range(n)),) * 2)
-    return parse_codebook(codebook_text(code))
-
-
-def _rotated_code(bits):
-    """A unit-energy constellation off the grid: QAM turned by 0.3 rad, random tail permutation."""
-    points = build_qam(bits).points * np.exp(0.3j)
-    perms = _random_perm_code(2, bits, seed=3).perms
-    return PermutationCode(constellation=Constellation(points=points, bits=bits), perms=perms)
-
-
-@pytest.mark.parametrize("make", [_reordered_grid_code, _rotated_code], ids=["reordered", "rotated"])
-def test_block_one_off_the_grid_takes_the_screen(make, monkeypatch):
-    code = make(4)
-    assert not np.array_equal(code.symbol_table[0], build_qam(4).points)
-    gen = np.random.Generator(np.random.PCG64(11))
-    rows = 512
-    slicer = _spy(monkeypatch, "_slice_qam")
-    screen = _spy(monkeypatch, "_screen")
-    for db in (0.0, 20.0, 40.0):
-        eta = SnrPoint(db)
-        sqrt_eta = math.sqrt(eta.eta_linear)
-        h = (gen.normal(size=rows) + 1j * gen.normal(size=rows)) * math.sqrt(0.5)
-        noise = (gen.normal(size=(rows, 2)) + 1j * gen.normal(size=(rows, 2))) * math.sqrt(0.5)
-        y = sqrt_eta * h[:, None] * code.symbol_table[:, gen.integers(16, size=rows)].T + noise
-        for l in (1, 2):
-            screen.clear()
-            decoded = ml_decode(code.symbol_table[:l], y, h, sqrt_eta)
-            assert len(screen) == 1
-            for t in range(rows):
-                assert decoded[t] == _brute_force_decode(code, y[t, :l], h[t], eta), (db, l, t)
-    assert not slicer
-    # the same rows through the grid code slice at l = 1 and screen at l = 2
-    grid = identity_code(2, 4)
-    for l in (1, 2):
-        slicer.clear()
-        screen.clear()
-        ml_decode(grid.symbol_table[:l], y, h, sqrt_eta)
-        assert (len(slicer), len(screen)) == ((1, 0) if l == 1 else (0, 1))
 
 
 def test_large_code_trials_identical_across_chunks_and_workers():
@@ -587,7 +544,7 @@ def test_codebook_round_trip_is_bit_exact():
         again = parse_codebook(text)
         assert codebook_text(again) == text
         assert again.perms == code.perms
-        assert np.array_equal(again.constellation.points, code.constellation.points)
+        assert np.array_equal(again.symbol_table, code.symbol_table)
 
 
 def test_codebook_file_round_trip(tmp_path):
@@ -599,6 +556,16 @@ def test_codebook_file_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "book2.txt").read_bytes()
 
 
+def _map_points(f):
+    """A codebook-text mutation that moves every point line of a bits = 2 codebook by f."""
+
+    def mutate(lines):
+        points = [f(complex(*map(float, line.split(",")))) for line in lines[2:6]]
+        lines[2:6] = [f"{p.real!r},{p.imag!r}" for p in points]
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutation, lineno",
     [
@@ -608,7 +575,12 @@ def test_codebook_file_round_trip(tmp_path):
         (lambda lines: lines.__setitem__(6, "0 1 2 q"), 7),
         (lambda lines: lines.append("extra"), 9),
         (lambda lines: lines.__delitem__(7), 8),
-        pytest.param(lambda lines: lines.__setitem__(3, "nan,0.0"), 1, id="nan-point"),
+        # every point line must be exactly the QAM grid's point, in grid order
+        pytest.param(lambda lines: lines.__setitem__(3, "nan,0.0"), 4, id="nan-point"),
+        pytest.param(lambda lines: lines.__setitem__(3, lines[2]), 4, id="repeated-point"),
+        pytest.param(_map_points(lambda p: 2 * p), 3, id="energy-4"),
+        pytest.param(lambda lines: lines.__setitem__(slice(2, 6), lines[5:1:-1]), 3, id="reversed"),
+        pytest.param(_map_points(lambda p: p * complex(math.cos(0.3), math.sin(0.3))), 3, id="rotated"),
     ],
 )
 def test_codebook_parse_errors_carry_line_numbers(mutation, lineno):
