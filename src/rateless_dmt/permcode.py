@@ -36,6 +36,13 @@ _SCREEN_MARGIN = 1e-9
 # Scores per screened block: 512 KiB of float64
 _SCREEN_BLOCK = 1 << 16
 
+# _PrefixErrors counts a trial correct, undecoded, when its noise energy is below
+# (1 - delta) eta |h|^2 rho_l^2: every other message is then farther from y than the sent one
+# by more than delta / 2 |s|^2 d2_min, and d2_min >= 4 c^2 >= max|x|^2 / 112.5 on every grid.
+# That is about 4e6 / l times the rounding of ml_decode's sums (1e-15 of |s|^2 l max|x|^2) and
+# of the energies taken from the radius uniforms (1e-16 of themselves).
+_BALL_MARGIN = 1e-6
+
 
 @cache
 def build_qam(bits: int) -> np.ndarray:
@@ -93,6 +100,20 @@ class PermutationCode:
         """Shape (L, n_messages): symbol sent in block l for each message."""
         pts = build_qam(self.bits)
         return np.stack([pts[np.asarray(perm)] for perm in self.perms])
+
+    @cached_property
+    def packing_sq(self) -> np.ndarray:
+        """Shape (L,): the squared packing radius rho_l^2 = d2_min / 4 of each prefix l = 1..L.
+
+        d2_min of prefix l is the min over message pairs of sum_{k <= l} |x_k - x'_k|^2.
+        """
+        d2 = np.zeros((self.n_messages, self.n_messages))  # every ordered pair, over blocks 1..l
+        np.fill_diagonal(d2, np.inf)  # a message paired with itself
+        out = np.empty(self.L)
+        for l, x in enumerate(self.symbol_table):
+            d2 += np.abs(x[:, None] - x) ** 2
+            out[l] = d2.min()
+        return out / 4
 
 
 def identity_code(L: int, bits: int) -> PermutationCode:
@@ -206,7 +227,8 @@ def ml_decode(code: PermutationCode, l: int, y: np.ndarray, h: np.ndarray, sqrt_
     batch shape. Every other row (exact ties and h = 0 among them) is
     re-decoded by the elementwise distance sums. So each row decodes as
     the distance sums alone would decode it, in any batch, chunk or worker
-    count.
+    count. Code trials whose noise lies inside the prefix's packing ball
+    never reach this function (see :class:`_PrefixErrors`).
     """
     table = code.symbol_table[:l]
     s = sqrt_eta * h
@@ -332,8 +354,13 @@ class _PrefixErrors:
 
     One uniform for the message before the fading draw, 2L for the noises
     after it, whatever the codebook, so equal seeds share all randomness and
-    paired code comparisons stay tight. A trial that stops at block l converts
-    only its fading and first 2l noise uniforms; an outage converts none.
+    paired code comparisons stay tight. A trial that stops at block l and whose
+    noise lies inside the prefix's packing ball, sum_{k <= l} |n_k|^2 <
+    (1 - `_BALL_MARGIN`) eta |h|^2 rho_l^2, decodes correctly whatever its
+    message and angles; both energies are -log1p(-u) of the Box-Muller radius
+    uniforms, so such a trial is counted with no normals and no decoding. Only
+    a trial that stops at block l outside its ball converts its fading and
+    first 2l noise uniforms; an outage converts none.
     """
 
     lead = 1
@@ -342,6 +369,7 @@ class _PrefixErrors:
         self.code = code
         self.trail = 2 * code.L
         self.sqrt_eta = math.sqrt(eta.eta_linear)
+        self.balls = (1 - _BALL_MARGIN) * eta.eta_linear * code.packing_sq
 
     def __call__(self, lead, fading, trail, short) -> np.ndarray:
         table = self.code.symbol_table
@@ -351,6 +379,11 @@ class _PrefixErrors:
         for l in range(1, L + 1):
             stop = np.flatnonzero(left & ~short[l - 1])  # stops at block l
             left = short[l - 1]
+            # log1p(-u) is minus each energy; h = 0 (u = 0) never passes
+            noise = np.log1p(-trail[stop, : 2 * l : 2]).sum(axis=1)
+            stop = stop[~(noise > self.balls[l - 1] * np.log1p(-fading[stop, 0]))]
+            if not len(stop):
+                continue
             (h,) = rng.complex_normals(_rows(fading, stop)).T
             y = rng.complex_normals(_rows(trail[:, : 2 * l], stop))  # the noise, then y in place
             sent = np.minimum((lead[:, 0][stop] * n_msgs).astype(np.int64), n_msgs - 1)
@@ -433,9 +466,11 @@ def parse_codebook(text: str) -> PermutationCode:
             raise ValueError(f"line {idx + 1}: expected integer {label}, got {raw!r}") from None
 
     L = parse_int(0, "L")
+    if L < 1:
+        raise ValueError(f"line 1: L must be >= 1, got {L}")
     bits = parse_int(1, "bits")
-    if L < 1 or not 1 <= bits <= MAX_BITS:
-        raise ValueError(f"line 1: invalid dimensions L={L}, bits={bits}")
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"line 2: bits must be in 1..{MAX_BITS}, got {bits}")
     grid = build_qam(bits)
     n = len(grid)
     for k, expected in enumerate(grid):
@@ -461,13 +496,14 @@ def parse_codebook(text: str) -> PermutationCode:
         if len(perm) != n:
             raise ValueError(f"line {idx + 1}: permutation has {len(perm)} entries, expected {n}")
         perms.append(perm)
+        try:  # the code's own checks, on every line so far: a fault is on this line
+            code = PermutationCode(bits=bits, perms=tuple(perms))
+        except ValueError as exc:
+            raise ValueError(f"line {idx + 1}: invalid codebook: {exc}") from None
     extra = 2 + n + L
     if any(line.strip() for line in lines[extra:]):
         raise ValueError(f"line {extra + 1}: trailing content after codebook")
-    try:
-        return PermutationCode(bits=bits, perms=tuple(perms))
-    except ValueError as exc:
-        raise ValueError(f"line 1: invalid codebook: {exc}") from None
+    return code
 
 
 def load_codebook(path: str) -> PermutationCode:

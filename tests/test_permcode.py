@@ -480,10 +480,21 @@ def test_trials_stop_and_errors_match_scalar_reference():
         assert np.array_equal(res.joint_err, fails / trials)
 
 
+def _brute_force_d2_min(code, l):
+    """min over message pairs of sum_{k <= l} |x_k - x'_k|^2, by plain loops."""
+    table = code.symbol_table
+    return min(
+        sum(abs(complex(table[k, a]) - complex(table[k, b])) ** 2 for k in range(l))
+        for a, b in itertools.combinations(range(code.n_messages), 2)
+    )
+
+
 def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
-    # a trial that stops at block l turns its 2 fading and first 2l noise uniforms into
-    # normals; an outage trial converts none (whole trials would convert 2 + 2L = 6 each)
+    # a trial that stops at block l with its noise outside the prefix's packing ball turns its
+    # 2 fading and first 2l noise uniforms into normals; one inside the ball, or an outage,
+    # converts none (whole trials would convert 2 + 2L = 6 each)
     code, _ = search_permutation_code(2, 2)
+    eta, trials, seed = SnrPoint(10.0), 4000, 5
     converted = []
 
     def spy(u):
@@ -491,9 +502,91 @@ def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
         return complex_normals(u)
 
     monkeypatch.setattr(rng, "complex_normals", spy)
-    res = run_rateless_code_trials(code, SnrPoint(10.0), 4000, seed=5, chunk=1000)
+    res = run_rateless_code_trials(code, eta, trials, seed=seed, chunk=1000)
     assert np.all(res.stop_hist > 0)  # stops at blocks 1 and 2, and outages
-    assert sum(converted) == sum(res.stop_hist[l - 1] * (2 + 2 * l) for l in (1, 2))
+
+    # the ball from the uniforms: |h|^2 and |n_k|^2 are -log1p(-u) of the Box-Muller radii
+    u = rng.trial_uniforms(rng.stream_key(seed, 0), 3 + 2 * code.L, 0, trials)
+    gain = -np.log1p(-u[:, 1])
+    noise = np.cumsum(-np.log1p(-u[:, 3::2]), axis=1)  # column l - 1: sum_{k <= l} |n_k|^2
+    rho2 = [_brute_force_d2_min(code, l) / 4 for l in (1, 2)]
+    stop_hist = np.zeros(code.L + 1, dtype=np.int64)
+    outside = np.zeros(code.L, dtype=np.int64)
+    for t in range(trials):
+        l = rateless_stop(math.log2(1.0 + eta.eta_linear * gain[t]), code.bits / code.L, code.L)
+        stop_hist[code.L if l is None else l - 1] += 1
+        if l is not None:
+            outside[l - 1] += not noise[t, l - 1] < (1 - 1e-6) * rho2[l - 1] * eta.eta_linear * gain[t]
+    assert stop_hist.tolist() == res.stop_hist.tolist()
+    assert np.all(outside > 0) and np.all(outside < res.stop_hist[:-1])  # some screened, some not
+    assert sum(converted) == sum(outside[l - 1] * (2 + 2 * l) for l in (1, 2))
+
+
+_BALL_CODES = {
+    "identity_L2_b8": lambda: identity_code(2, 8),
+    "searched_L2_b3": lambda: search_permutation_code(2, 3)[0],
+    "searched_L3_b2": lambda: search_permutation_code(3, 2)[0],
+}
+
+
+def _radius_angle(z):
+    """Box-Muller uniform pairs that convert back to the complex samples z, shape (..., 2)."""
+    return np.stack((-np.expm1(-np.abs(z) ** 2), np.angle(z) / (2 * np.pi) % 1.0), axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(_BALL_CODES))
+def test_packing_ball_screen_is_sound(name, monkeypatch):
+    # noise at (1 -+ 1e-3) rho_l from a codeword, straight toward its nearest codeword: just
+    # inside the ball the trial is counted correct without decoding, as brute force decodes it;
+    # just outside it is decoded, and decodes wrong
+    code = _BALL_CODES[name]()
+    L, n = code.L, code.n_messages
+    rho2 = [_brute_force_d2_min(code, l) / 4 for l in range(1, L + 1)]
+    assert code.packing_sq.tolist() == pytest.approx(rho2, rel=1e-12)
+
+    decoded_rows = []
+    real_decode = permcode.ml_decode
+
+    def spy(code, l, y, h, sqrt_eta):
+        decoded_rows.append(len(y))
+        return real_decode(code, l, y, h, sqrt_eta)
+
+    monkeypatch.setattr(permcode, "ml_decode", spy)
+    # low enough that every noise energy has a radius uniform below 1, so it converts back
+    eta = SnrPoint(5.0)
+    sqrt_eta = math.sqrt(eta.eta_linear)
+    gains = np.array([0.3 + 0.2j, -1.1 + 0.6j, 0.05 - 0.7j, 1.3 + 0.0j])  # |h|^2 both sides of 1
+    table = code.symbol_table
+    for l in range(1, L + 1):
+        d2 = np.sum(np.abs(table[:l, :, None] - table[:l, None, :]) ** 2, axis=0)
+        np.fill_diagonal(d2, math.inf)
+        sent, near = np.nonzero(d2 <= 4 * rho2[l - 1] * (1 + 1e-9))  # every closest pair
+        sent, near = np.repeat(sent, len(gains)), np.repeat(near, len(gains))
+        h = np.tile(gains, len(sent) // len(gains))
+        s = sqrt_eta * h
+        step = (table[:l, near] - table[:l, sent]).T / (2 * math.sqrt(rho2[l - 1]))  # unit rows
+        short = [np.full(len(sent), k < l - 1) for k in range(L)]  # every row stops at block l
+        lead = ((sent + 0.5) / n)[:, None]
+        fading = _radius_angle(h)
+        for f, inside in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            noise = f * math.sqrt(rho2[l - 1]) * s[:, None] * step
+            trail = np.full((len(sent), 2 * L), 0.5)
+            trail[:, : 2 * l] = _radius_angle(noise).reshape(len(sent), 2 * l)
+            decoded_rows.clear()
+            err_counts = permcode._PrefixErrors(code, eta)(lead, fading, trail, short)
+            # the hook's own draws: the normals it would convert, and the prefix received
+            h_drawn = complex_normals(fading)[:, 0]
+            y = sqrt_eta * h_drawn[:, None] * table[:l, sent].T + complex_normals(trail[:, : 2 * l])
+            some = range(0, len(sent), -(-len(sent) // 128))  # brute force is slow at 256 messages
+            brute = np.array([_brute_force_decode(code, y[t], h_drawn[t], eta) for t in some])
+            if inside:
+                # no block has a trial left to decode, so the decoder is never called
+                assert decoded_rows == [] and err_counts.tolist() == [0] * L, (l, f)
+                assert np.all(brute == sent[some]), (l, f)
+            else:
+                assert decoded_rows == [len(sent)], (l, f)  # block l only
+                assert err_counts[l - 1] == len(sent), (l, f)
+                assert np.all(brute != sent[some]), (l, f)
 
 
 def test_paired_comparison_searched_never_worse_and_beats_repetition_at_8qam():
@@ -581,6 +674,10 @@ def _map_points(f):
         pytest.param(_map_points(lambda p: 2 * p), 3, id="energy-4"),
         pytest.param(lambda lines: lines.__setitem__(slice(2, 6), lines[5:1:-1]), 3, id="reversed"),
         pytest.param(_map_points(lambda p: p * complex(math.cos(0.3), math.sin(0.3))), 3, id="rotated"),
+        # each fault names its own line, not line 1
+        pytest.param(lambda lines: lines.__setitem__(1, "9"), 2, id="bits-9"),
+        pytest.param(lambda lines: lines.__setitem__(7, "0 0 1 2"), 8, id="not-a-permutation"),
+        pytest.param(lambda lines: lines.__setitem__(6, "1 0 2 3"), 7, id="first-not-identity"),
     ],
 )
 def test_codebook_parse_errors_carry_line_numbers(mutation, lineno):
