@@ -217,18 +217,16 @@ def ml_decode(code: PermutationCode, l: int, y: np.ndarray, h: np.ndarray, sqrt_
 
     Every block shares the gain s, so the minimizer maximizes the
     correlation score sum_k Re(conj(s) y_k conj(x_k)) - |s|^2 E / 2, with
-    E = sum_k |x_k|^2. Block 1 is the `build_qam(bits)` grid itself, so a
-    one-block prefix is decided by per-axis slicing, O(1) per row; a longer
-    prefix by one real matrix product, (rows x (2l+1)) @
-    ((2l+1) x n_messages), in cache-sized blocks. Either fast path decides
-    a row only when its top score beats every other score by
+    E = sum_k |x_k|^2, scored for all messages by one real matrix product,
+    (rows x (2l+1)) @ ((2l+1) x n_messages), in cache-sized blocks. A row's
+    decision stands only when its top score beats every other score by
     `_SCREEN_MARGIN` of the row's magnitude scale, far above the rounding
-    of the distance sums and of the fast path, which can depend on the
-    batch shape. Every other row (exact ties and h = 0 among them) is
-    re-decoded by the elementwise distance sums. So each row decodes as
-    the distance sums alone would decode it, in any batch, chunk or worker
-    count. Code trials whose noise lies inside the prefix's packing ball
-    never reach this function (see :class:`_PrefixErrors`).
+    of the distance sums and of the product, which can depend on the batch
+    shape. Every other row (exact ties and h = 0 among them) is re-decoded
+    by the elementwise distance sums. So each row decodes as the distance
+    sums alone would decode it, in any batch, chunk or worker count. Code
+    trials whose noise lies inside the prefix's packing ball never reach
+    this function (see :class:`_PrefixErrors`).
     """
     table = code.symbol_table[:l]
     s = sqrt_eta * h
@@ -241,10 +239,7 @@ def ml_decode(code: PermutationCode, l: int, y: np.ndarray, h: np.ndarray, sqrt_
     for k, x in enumerate(table):
         scale += np.abs(a[:, k].real) * np.max(np.abs(x.real)) + np.abs(y[:, k]) ** 2
         scale += np.abs(a[:, k].imag) * np.max(np.abs(x.imag))
-    if l == 1:
-        decoded, gap = _slice_qam(a[:, 0], g, code.bits)
-    else:
-        decoded, gap = _screen(a, g, table, energy)
+    decoded, gap = _screen(a, g, table, energy)
     unclear = ~(gap > _SCREEN_MARGIN * scale)
     if np.any(unclear):
         decoded[unclear] = np.argmin(_distance_sums(table, y[unclear], s[unclear]), axis=1)
@@ -268,33 +263,6 @@ def _screen(a, g, table, energy) -> tuple[np.ndarray, np.ndarray]:
         decoded[r0 : r0 + step] = best
         gap[r0 : r0 + step] = top - runner_up
     return decoded, gap
-
-
-def _slice_qam(a, g, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest point of the `build_qam(bits)` grid to a / g, axis by axis, and each row's score gap.
-
-    On an axis of n levels and half-spacing c, v = a / (2 c g) + n / 2 puts level k at
-    v = k + 1/2 and the decision boundaries at the integers. The score a x - g x^2 / 2 drops
-    by 4 c^2 g delta to the runner-up, delta = 1/2 - |v - k - 1/2| being the distance to the
-    nearer boundary beside level k; an axis of one level gets delta = 1/2.
-    """
-    grid = build_qam(bits)
-    w = 2 ** ((bits + 1) // 2)  # levels on the real axis
-    c = np.min(np.abs(grid.real))  # the innermost real level sits at +-c
-    index = np.zeros(len(a))
-    off = np.zeros(len(a))  # 1/2 - delta, the largest over the axes
-    for part, n, stride in ((a.real, w, 1), (a.imag, len(grid) // w, w)):
-        with np.errstate(divide="ignore", invalid="ignore"):  # g = 0, whose gap is 0 below
-            v = part / g
-        v *= 0.5 / c
-        v += n / 2
-        # NaN goes to level 0; past an edge level, delta = 1/2 understates the gap
-        np.fmin(np.fmax(v, 0.5, out=v), n - 0.5, out=v)
-        k = np.floor(v)
-        v -= k + 0.5
-        np.maximum(off, np.abs(v, out=v), out=off)
-        index += stride * k
-    return index.astype(np.int64), (0.5 - off) * g * (4 * c * c)
 
 
 def _distance_sums(table: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -384,19 +352,13 @@ class _PrefixErrors:
             stop = stop[~(noise > self.balls[l - 1] * np.log1p(-fading[stop, 0]))]
             if not len(stop):
                 continue
-            (h,) = rng.complex_normals(_rows(fading, stop)).T
-            y = rng.complex_normals(_rows(trail[:, : 2 * l], stop))  # the noise, then y in place
+            (h,) = rng.complex_normals(fading[stop]).T
+            y = rng.complex_normals(trail[stop, : 2 * l])  # the noise, then y in place
             sent = np.minimum((lead[:, 0][stop] * n_msgs).astype(np.int64), n_msgs - 1)
             y += self.sqrt_eta * h[:, None] * table[:l, sent].T
             decoded = ml_decode(self.code, l, y, h, self.sqrt_eta)
             err_counts[l - 1] = np.count_nonzero(decoded != sent)
         return err_counts
-
-
-def _rows(block: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """block[idx], gathered as one opaque item per row: faster than numpy's gather of strided rows."""
-    items = block.view(np.dtype((np.void, block.itemsize * block.shape[1])))[:, 0]
-    return items[idx].view(block.dtype).reshape(len(idx), block.shape[1])
 
 
 def run_rateless_code_trials(

@@ -201,6 +201,15 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "`what`" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"M = 1\xff\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read config `{cfg}`" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codes_builds_decodable_codebook(tmp_path):
     assert main([
         "codes", "--L", "2", "--bits", "2", "--eta-db", "20,30",

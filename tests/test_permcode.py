@@ -259,7 +259,6 @@ _LARGE_CODES = {
 def test_decode_batch_matches_rows_alone_and_brute_force(name, monkeypatch):
     # the batched screen may round differently by batch shape; the decisions may not
     code = _LARGE_CODES[name]()
-    slicer = _spy(monkeypatch, "_slice_qam")
     screen = _spy(monkeypatch, "_screen")
     gen = np.random.Generator(np.random.PCG64(99))
     rows = 4096
@@ -271,11 +270,9 @@ def test_decode_batch_matches_rows_alone_and_brute_force(name, monkeypatch):
         noise = (gen.normal(size=(rows, code.L)) + 1j * gen.normal(size=(rows, code.L))) * math.sqrt(0.5)
         y = sqrt_eta * h[:, None] * code.symbol_table[:, msg].T + noise
         for l in range(1, code.L + 1):
-            slicer.clear()
             screen.clear()
             batch = ml_decode(code, l, y, h, sqrt_eta)
-            # block 1 is the grid, sliced; every longer prefix is screened
-            assert (len(slicer), len(screen)) == ((1, 0) if l == 1 else (0, 1))
+            assert len(screen) == 1  # one screen decides every prefix, block 1 too
             alone = [int(ml_decode(code, l, y[t : t + 1], h[t : t + 1], sqrt_eta)[0]) for t in range(rows)]
             assert batch.tolist() == alone, (db, l)
             for t in range(0, rows, 64):
@@ -341,7 +338,7 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("bits", range(1, permcode.MAX_BITS + 1))
-def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch):
+def test_block_one_decisions_match_distance_sums_on_every_grid(bits, monkeypatch):
     # odd bits give rectangular grids, and bits = 1 an imaginary axis of one level
     grid = build_qam(bits)
     code = identity_code(1, bits)
@@ -356,7 +353,6 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
     edges += [e + 1e-12 * (1 + 1j) for e in edges]
     gen = np.random.Generator(np.random.PCG64(bits))
     distance_sums = permcode._distance_sums
-    slicer = _spy(monkeypatch, "_slice_qam")
     screen = _spy(monkeypatch, "_screen")
     rechecked = _spy(monkeypatch, "_distance_sums")
     for db in (0.0, 20.0, 40.0, 60.0, 80.0):
@@ -372,10 +368,10 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
         y[:32] = sqrt_eta * h[:32] * (far[:32, 0] * xs[-1] + 1j * gen.choice(ys, size=32))
         y[256:] = sqrt_eta * h[256:] * np.array(edges)
         h[[5, 77, 200]] = 0.0
-        for calls in (slicer, screen, rechecked):
+        for calls in (screen, rechecked):
             calls.clear()
         decoded = ml_decode(code, 1, y[:, None], h, sqrt_eta)
-        assert len(slicer) == 1 and not screen
+        assert len(screen) == 1
         s = sqrt_eta * h
         assert decoded.tolist() == np.argmin(distance_sums(table, y[:, None], s), axis=1).tolist()
         for t in range(256):
@@ -388,7 +384,7 @@ def test_block_one_slicing_matches_distance_sums_on_every_grid(bits, monkeypatch
         for t in [5, 77, 200, *range(256, rows)]:
             assert y[t : t + 1].tobytes() in reached, (db, t)
         assert decoded[[5, 77, 200]].tolist() == [0, 0, 0]
-        # the recheck is for near-ties alone: most random rows are decided by slicing
+        # the recheck is for near-ties alone: most random rows are decided by the screen
         assert len(reached) < 3 + len(edges) + 16
 
 
