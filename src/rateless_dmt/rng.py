@@ -6,8 +6,9 @@ B = ceil(uniforms_per_trial / 4) and each 256-bit counter block yields 4
 doubles. Because the mapping from (key, trial index) to raw uniforms is
 static, any chunking, any thread count, and any execution order reproduce
 bit-identical results. Gaussians come from the trigonometric Box-Muller
-transform, which consumes exactly one uniform per normal; the variable
-consumption of ziggurat samplers would break the per-trial alignment.
+transform, which consumes exactly one uniform per normal, and Gamma(k, 1)
+variates from k uniforms as sums of -log1p(-u); the variable consumption of
+ziggurat or rejection samplers would break the per-trial alignment.
 """
 
 from __future__ import annotations

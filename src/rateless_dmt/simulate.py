@@ -10,10 +10,12 @@ enough. Everything is driven by the counter-based substreams in
 thread count.
 
 Each trial's fading draw is reduced once to SNR-free statistics of H
-(:func:`channel_stats`), and every SNR of a sweep evaluates I_b from those
-same statistics (:func:`block_info`). The SNR cells of one sweep thus share
-their draws (common random numbers), and a cell's counts do not depend on
-its position in the grid or on the other SNRs in it.
+(:func:`channel_stats`); at full rank they come from a Bartlett factor of
+H H*, drawn with the Gram matrix's law, and H itself is never formed.
+Every SNR of a sweep evaluates I_b from those same statistics
+(:func:`block_info`). The SNR cells of one sweep thus share their draws
+(common random numbers), and a cell's counts do not depend on its
+position in the grid or on the other SNRs in it.
 """
 
 from __future__ import annotations
@@ -141,31 +143,45 @@ def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
     return rank_one_outage(1, 1, eta, rate_threshold)[0]
 
 
-def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
-    """The SNR-free statistics of each trial's N x M fading matrix, from its 2MN Box-Muller uniforms.
+def fading_width(M: int, N: int) -> int:
+    """Uniforms per trial that :func:`channel_stats` reads: 2MN at rank one, else the Bartlett count."""
+    K, m = min(M, N), max(M, N)
+    return 2 * M * N if K == 1 else K * m - K * (K - 1) // 2 + (K - 1) ** 2
 
-    Returns the planes of the K x K Gram matrix G = X X*, K = min(M, N), with X = H when
-    N <= M and X = H^T otherwise: det(I + a G) = det(I_N + a H H*) either way (Sylvester's
-    identity). Shape (K, K, trials), packed: Re G_ij at [i, j] for i >= j, Im G_ij at [j, i]
-    for i > j. For rank one (K = 1), G = ||h||^2 is the sum of the entries' -log1p(-u1),
-    half their squared Box-Muller radii, so no angle, normal or complex array is formed.
+
+def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The SNR-free statistics of each trial's N x M fading, from its :func:`fading_width` uniforms.
+
+    Returns the planes of a K x K Gram matrix G with the law of X X*, K = min(M, N), X = H or
+    H^T of size K x m, m = max(M, N); det(I + a G) = det(I_N + a H H*) either way. Shape (K, K,
+    trials), packed: Re G_ij at [i, j] for i >= j, Im G_ij at [j, i] for i > j. At rank one,
+    G = ||h||^2 sums the entries' -log1p(-u1), half their squared Box-Muller radii. Otherwise
+    G = T T* for the lower-triangular Bartlett factor T (Goodman 1963): T_ii^2 ~ Gamma(m - i, 1)
+    sums m - i terms -log1p(-u), and CN(0, 1) entries lie below. G -> D G D*, D diagonal
+    unitary, keeps det(I + a G), so the subdiagonal is real, |T_i,i-1|^2 ~ Exp(1) from one
+    uniform, and only entries below it are Box-Muller pairs. The uniforms run: diagonal,
+    subdiagonal, then those pairs, each in row order.
     """
     n = len(u)
-    if min(M, N) == 1:
+    K, m = min(M, N), max(M, N)
+    if K == 1:
         return -np.log1p(-u[:, 0::2]).sum(axis=1).reshape(1, 1, n)
-    x = rng.complex_normals(u).reshape(n, N, M)
-    if N > M:
-        x = x.transpose(0, 2, 1)
-    # one contiguous (K, J, trials) plane per part, so each entry of G sums whole rows
-    xr = np.ascontiguousarray(x.real.transpose(1, 2, 0))
-    xi = np.ascontiguousarray(x.imag.transpose(1, 2, 0))
-    K = len(xr)
+    *starts, d = [i * m - i * (i - 1) // 2 for i in range(K + 1)]  # T_ii^2 from column starts[i] on
+    e = -np.log1p(-np.ascontiguousarray(u[:, : d + K - 1].T))
+    t = np.zeros((2, K, K, n))  # Re and Im planes of T
+    for i, a in enumerate(starts):
+        t[0, i, i] = np.sqrt(e[a : a + m - i].sum(axis=0))
+    t[0, range(1, K), range(K - 1)] = np.sqrt(e[d:])
+    below = [(i, j) for i in range(2, K) for j in range(i - 1)]
+    for (i, j), z in zip(below, rng.complex_normals(u[:, d + K - 1 :]).T):
+        t[:, i, j] = z.real, z.imag
     g = np.empty((K, K, n))
     for i in range(K):
         for j in range(i + 1):
-            g[i, j] = np.einsum("mt,mt->t", xr[i], xr[j]) + np.einsum("mt,mt->t", xi[i], xi[j])
+            ti, tj = t[:, i, : j + 1], t[:, j, : j + 1]  # G_ij = sum_k T_ik conj(T_jk), k <= j
+            g[i, j] = np.einsum("pkt,pkt->t", ti, tj)
             if j < i:
-                g[j, i] = np.einsum("mt,mt->t", xi[i], xr[j]) - np.einsum("mt,mt->t", xr[i], xi[j])
+                g[j, i] = np.einsum("kt,kt->t", ti[1], tj[0]) - np.einsum("kt,kt->t", ti[0], tj[1])
     return g
 
 
@@ -215,8 +231,8 @@ def stop_counts(
 
     A row counts the trials stopping at blocks 1..L, then the outages.
     Trial t of a seed always reads the same window of the seed's one
-    stream, whatever the call, and draws 2MN uniforms for its fading
-    matrix once; its SNR-free statistics then serve every point and
+    stream, whatever the call, and draws its :func:`fading_width` fading
+    uniforms once; its SNR-free statistics then serve every point and
     every l, so the points share the draw (common random numbers), and a
     point's row does not depend on the other points or their order. A
     decoder riding along takes exactly one point and reserves `decoder.lead`
@@ -234,7 +250,7 @@ def stop_counts(
             raise ValueError(f"R must be >= 0, got {R}")
     M, N, L = cfg.M, cfg.N, cfg.L
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
-    n_h = 2 * M * N
+    n_h = fading_width(M, N)
     # stream 0: the key of every simulate output, golden file and perfbench outage digest
     key = rng.stream_key(seed, 0)
 

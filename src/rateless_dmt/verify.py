@@ -330,10 +330,13 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     ]
     ok_code = _all_equal([np.concatenate((res.stop_hist, res.err_counts)) for res in code_runs])
     etas = [SnrPoint(d) for d in (20.0, 30.0)]
-    experiments = [
-        simulate.run_rateless_experiment(cfg, 0.25, etas, _GAIN_TRIALS, seed, workers=w) for w in (1, 2)
+    runs = ((1, rng.DEFAULT_CHUNK), (2, rng.DEFAULT_CHUNK), (2, 1 << 12))  # (workers, chunk)
+    experiments = [  # SISO, then 2x2 through the Bartlett draw
+        [simulate.run_rateless_experiment(c, 0.25, etas, _GAIN_TRIALS, seed, workers=w, chunk=k)
+         for w, k in runs]
+        for c in (cfg, RatelessConfig(2, 2, L=2))
     ]
-    ok_exp = _all_equal([np.stack([rec.stop_hist for rec in recs]) for recs in experiments])
+    ok_exp = all(_all_equal([np.stack([r.stop_hist for r in recs]) for recs in e]) for e in experiments)
     return (
         ok_profile and ok_code and ok_exp,
         f"profile rerun/threads {'ok' if ok_profile else 'DIFF'}, "

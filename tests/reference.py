@@ -30,9 +30,43 @@ def block_mutual_info(H: np.ndarray, eta: SnrPoint, M: Optional[int] = None) -> 
         raise ValueError("channel matrix has non-finite entries")
     if H.shape == (1, 1):
         return math.log1p(eta.eta_linear * abs(H[0, 0]) ** 2) / math.log(2.0)
-    gram = np.eye(H.shape[0], dtype=complex) + (eta.eta_linear / M) * (H @ H.conj().T)
+    return factor_mutual_info(H, eta, M)
+
+
+def factor_mutual_info(X: np.ndarray, eta: SnrPoint, M: int) -> float:
+    """log2 det(I + (eta / M) X X*) by slogdet, for a channel X or a factor T of its Gram matrix.
+
+    M is the transmit antenna count that splits the power, whatever X's width.
+    """
+    gram = np.eye(X.shape[0], dtype=complex) + (eta.eta_linear / M) * (X @ X.conj().T)
     _, logdet = np.linalg.slogdet(gram)
     return float(logdet) / math.log(2.0)
+
+
+def bartlett_factor(u, M: int, N: int) -> np.ndarray:
+    """The K x K lower-triangular Bartlett factor T of one trial, K = min(M, N) >= 2, m = max(M, N).
+
+    Reads the row of fading uniforms left to right, each exactly once: for i = 0..K-1 the m - i
+    uniforms whose -log(1 - u) sum to T_ii^2; then T_i,i-1 = sqrt(-log(1 - u)), real, for
+    i = 1..K-1; then, for each entry below the subdiagonal in row order, a radius uniform and an
+    angle uniform, T_ij = sqrt(-log(1 - u1)) * exp(2 pi i u2).
+    """
+    K, m = min(M, N), max(M, N)
+    if K < 2:
+        raise ValueError(f"the Bartlett draw needs min(M, N) >= 2, got {M}x{N}")
+    it = iter(float(x) for x in u)
+    T = np.zeros((K, K), dtype=complex)
+    for i in range(K):
+        T[i, i] = math.sqrt(sum(-math.log1p(-next(it)) for _ in range(m - i)))
+    for i in range(1, K):
+        T[i, i - 1] = math.sqrt(-math.log1p(-next(it)))
+    for i in range(2, K):
+        for j in range(i - 1):
+            radius, angle = math.sqrt(-math.log1p(-next(it))), 2.0 * math.pi * next(it)
+            T[i, j] = complex(radius * math.cos(angle), radius * math.sin(angle))
+    if next(it, None) is not None:
+        raise ValueError(f"{len(u)} uniforms is more than a {M}x{N} Bartlett draw reads")
+    return T
 
 
 def rateless_stop(I_b: float, R: float, L: int) -> Optional[int]:

@@ -145,18 +145,18 @@ def test_simulate_slope_limit_is_mimo_f_and_needs_two_cells(tmp_path, capsys):
     assert main(mimo + ["--eta-db", "10,15,20,25", "--seed", "7", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     # f(2, 2, 1.5) = 1 + 0.5 * (3 - 4) and f(2, 2, 0.75) = 4 + 0.75 * (1 - 4);
-    # p(2) fits 10 and 15 dB only, the SNRs with at least 10 trials short after block 2
-    assert "  p(1): fitted slope 0.226, analytic limit 0.500" in out
-    assert "  p(2): fitted slope 1.005, analytic limit 1.750" in out
+    # p(2) fits 10, 15 and 20 dB only, the SNRs with at least 10 trials short after block 2
+    assert "  p(1): fitted slope 0.218, analytic limit 0.500" in out
+    assert "  p(2): fitted slope 1.114, analytic limit 1.750" in out
     assert main(mimo + ["--eta-db", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"  p({l}): too few usable points for a slope fit" for l in (1, 2)
     ]
-    # at r_n = 0.25, p(2) holds 1 of 20000 trials at each of 3, 6 and 9 dB, under the 10 a fit needs
+    # at r_n = 0.25, p(2) holds 2, 5 and 1 of 20000 trials at 3, 6 and 9 dB, under the 10 a fit needs
     low = [arg if arg != "0.75" else "0.25" for arg in mimo]
     assert main(low + ["--eta-db", "3,6,9", "--seed", "13", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # p(1) holds 15, 20 and 15 events, so the fit is -1.5e-15; it prints 0.000, not -0.000
+    # p(1) holds 14, 27 and 14 events, so the fit is -2.6e-15; it prints 0.000, not -0.000
     assert lines[1] == "  p(1): fitted slope 0.000, analytic limit 2.500"
     assert lines[2] == "  p(2): too few usable points for a slope fit"
 

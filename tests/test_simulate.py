@@ -2,13 +2,20 @@
 
 import inspect
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import block_mutual_info, rateless_stop, siso_outage_profile
+from reference import (
+    bartlett_factor,
+    block_mutual_info,
+    factor_mutual_info,
+    rateless_stop,
+    siso_outage_profile,
+)
 
 from rateless_dmt import (
     RatelessConfig,
@@ -26,6 +33,7 @@ from rateless_dmt.simulate import (
     SnrRecord,
     block_info,
     channel_stats,
+    fading_width,
     still_short,
     stop_counts,
 )
@@ -117,15 +125,15 @@ KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2
 class _CodeLayout:
     """Decoder stub reserving the code-trial uniforms: one before the fading draw, 2L after.
 
-    It asserts that each call gets 1, 2MN and 2L columns of the same chunk, and keeps
-    them, so a test can check that together they are exactly the trials' uniforms.
+    It asserts that each call gets 1, fading_width(M, N) and 2L columns of the same chunk,
+    and keeps them, so a test can check that together they are exactly the trials' uniforms.
     """
 
     lead = 1
 
     def __init__(self, M, N, L):
         self.trail = 2 * L
-        self.widths = (1, 2 * M * N, 2 * L)
+        self.widths = (1, fading_width(M, N), 2 * L)
         self.seen = []
 
     def __call__(self, lead, fading, trail, short):
@@ -145,13 +153,17 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     trials, seed = 400, 21
     decoder = _CodeLayout(M, N, L) if layout == "code" else None
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
-    u = rng.trial_uniforms(rng.stream_key(seed, 0), lead + 2 * M * N + trail, 0, trials)
-    h = rng.complex_normals(u[:, lead : lead + 2 * M * N])
-    ref_ib = np.array([block_mutual_info(row.reshape(N, M), eta) for row in h])
+    width = fading_width(M, N)
+    u = rng.trial_uniforms(rng.stream_key(seed, 0), lead + width + trail, 0, trials)
+    fading = u[:, lead : lead + width]
+    if min(M, N) == 1:  # rank one reads the channel itself
+        ref_ib = np.array([block_mutual_info(row.reshape(N, M), eta) for row in rng.complex_normals(fading)])
+    else:  # full rank reads its Bartlett factor, one explicit matrix per trial
+        ref_ib = np.array([factor_mutual_info(bartlett_factor(row, M, N), eta, M) for row in fading])
     # a rate that puts the message size in the middle of the I_b spread
     R = 0.75 * float(np.median(ref_ib))
 
-    ib = block_info(channel_stats(u[:, lead : lead + 2 * M * N], M, N), eta.eta_linear, M)
+    ib = block_info(channel_stats(fading, M, N), eta.eta_linear, M)
     np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
     stop = 1 + np.sum(still_short(ib, R, L), axis=0)  # L + 1 means outage
     ref_stop = [rateless_stop(x, R, L) or L + 1 for x in ref_ib]
@@ -165,6 +177,85 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     if decoder:  # the three blocks of every chunk, in any chunk order, rebuild the uniforms
         seen = np.concatenate(decoder.seen)
         assert np.array_equal(seen[np.lexsort(seen.T)], u[np.lexsort(u.T)])
+
+
+def test_fading_width_is_the_bartlett_count_at_full_rank():
+    # rank one keeps 2MN; full rank reads sum_{i<K} (m - i) + (K - 1) + (K - 1)(K - 2)
+    widths = {(1, 1): 2, (1, 4): 8, (4, 1): 8, (2, 2): 4, (2, 3): 6, (3, 2): 6, (3, 3): 10, (4, 4): 19}
+    assert {shape: fading_width(*shape) for shape in widths} == widths
+    for M, N in widths:
+        if min(M, N) > 1:  # the reference reads exactly that many, each once
+            assert bartlett_factor(np.full(fading_width(M, N), 0.5), M, N).shape == (min(M, N),) * 2
+            with pytest.raises(ValueError, match="more than"):
+                bartlett_factor(np.full(fading_width(M, N) + 1, 0.5), M, N)
+
+
+# full-rank shapes of the Bartlett draw: square, both orientations of a 2 x 3 link, 3x3 and 4x4
+FULL_RANK = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+# two-sided z bound of each law test: Bonferroni over its 2 statistics on every shape, family 1e-6
+_Z_LAW = NormalDist().inv_cdf(1 - 1e-6 / (2 * 2 * len(FULL_RANK)))
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _digamma(k):
+    """psi(k) = -gamma + H_{k-1} at a positive integer k."""
+    return -_EULER_GAMMA + sum(1.0 / j for j in range(1, k))
+
+
+def _trigamma(k):
+    """psi'(k) = pi^2 / 6 - sum_{j<k} 1 / j^2 at a positive integer k."""
+    return math.pi**2 / 6 - sum(1.0 / j**2 for j in range(1, k))
+
+
+def _unpack(stats):
+    """The complex (trials, K, K) Gram matrices of channel_stats' packed planes."""
+    K = len(stats)
+    g = np.empty((stats.shape[2], K, K), dtype=complex)
+    for i in range(K):
+        g[:, i, i] = stats[i, i]
+        for j in range(i):
+            g[:, i, j] = stats[i, j] + 1j * stats[j, i]
+            g[:, j, i] = stats[i, j] - 1j * stats[j, i]
+    return g
+
+
+@pytest.mark.parametrize("M, N", FULL_RANK)
+def test_bartlett_draw_has_exact_wishart_log_det_and_trace(M, N):
+    # G = X X* for K x m CN(0, 1) entries: ln det G sums independent ln Gamma(m - i, 1), so its
+    # mean is sum psi(m - i) and its variance sum psi'(m - i); tr G sums K m unit exponentials
+    K, m = min(M, N), max(M, N)
+    trials = 1 << 16
+    u = rng.trial_uniforms(rng.stream_key(2021, 0), fading_width(M, N), 0, trials)
+    g = _unpack(channel_stats(u, M, N))
+    logdet = np.linalg.slogdet(g)[1]
+    se = math.sqrt(sum(_trigamma(m - i) for i in range(K)) / trials)
+    z_logdet = (logdet.mean() - sum(_digamma(m - i) for i in range(K))) / se
+    z_trace = (np.trace(g, axis1=1, axis2=2).real.mean() - K * m) / math.sqrt(K * m / trials)
+    assert abs(z_logdet) < _Z_LAW and abs(z_trace) < _Z_LAW, (z_logdet, z_trace)
+
+
+def _gaussian_info(gen, trials, M, N, eta):
+    """I_b of `trials` independent N x M Gaussian channels, by slogdet of I + (eta / M) H H*."""
+    h = (gen.standard_normal((trials, N, M)) + 1j * gen.standard_normal((trials, N, M))) * math.sqrt(0.5)
+    a = np.eye(N) + (eta.eta_linear / M) * (h @ h.conj().transpose(0, 2, 1))
+    return np.linalg.slogdet(a)[1] / math.log(2.0)
+
+
+@pytest.mark.parametrize("M, N", FULL_RANK)
+def test_bartlett_stop_counts_match_gaussian_channels(M, N):
+    # two samples: the kernel's stop counts against brute-force Gaussian H from PCG64, a generator
+    # it never uses. At 5 dB and a rate whose first-block outage is near 1/2 by a pilot draw, the
+    # trials still short after each block must agree within the Bonferroni z bound.
+    cfg, eta, trials = RatelessConfig(M, N, L=2), SnrPoint(5.0), 1 << 17
+    gen = np.random.Generator(np.random.PCG64(2021))
+    R = float(np.median(_gaussian_info(gen, 1 << 12, M, N, eta))) / 2
+    ref = _gaussian_info(gen, trials, M, N, eta)
+    (stops,) = stop_counts(cfg, [(eta, R)], trials, seed=2021)
+    for l in (1, 2):
+        a, b = int(stops[l:].sum()), int(np.count_nonzero(l * ref < 2 * R))
+        p = (a + b) / (2 * trials)
+        z = (a - b) / math.sqrt(2 * trials * p * (1 - p))
+        assert abs(z) < _Z_LAW, (l, a, b, z)
 
 
 def _siso_p(eta, thr):
