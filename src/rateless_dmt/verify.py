@@ -1,11 +1,15 @@
-"""Verification suite: each release criterion as a self-timing check.
+"""Verification suite: each release criterion as a self-timing check of an estimator.
 
-Every check states what it measured, the tolerance it applied, and
-passes or fails on its own; the suite result is the conjunction. All
+Every check runs the Monte Carlo kernel or the ML decoder, states what
+it measured and the tolerance it applied, and passes or fails on its
+own; the suite result is the conjunction. The exact curves and the
+oracle's own slopes run no estimator; the unit tests pin them. All
 randomized checks run from fixed default seeds so the suite is
 deterministic out of the box. A Monte Carlo count with an exact oracle
-is judged by :func:`exact_cells`. ``tol_scale`` widens or tightens the
-statistical tolerances (not the exactness checks, which have none).
+is judged by :func:`exact_cells`, which raises its level to the power
+``tol_scale``; `permutation-code-trials` also multiplies its factor 3
+and its 3-sigma slacks by it. `decoder-correctness` and `determinism`
+are exact and take no tolerance.
 """
 
 from __future__ import annotations
@@ -13,12 +17,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from . import permcode, rng, simulate, tradeoff
+from . import permcode, rng, simulate
 from .configs import RatelessConfig
 from .simulate import SnrPoint
 
@@ -37,13 +40,6 @@ class CheckResult:
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"{verdict}  {self.name}  [{self.elapsed_s:.2f}s]  {self.detail}"
-
-
-def _interval(lo: float, hi: float, tol_scale: float) -> tuple[float, float]:
-    """Scale an acceptance interval's half-width about its center."""
-    center = (lo + hi) / 2.0
-    half = (hi - lo) / 2.0 * tol_scale
-    return center - half, center + half
 
 
 def binom_two_sided_p(k: int, n: int, p: float) -> float:
@@ -75,51 +71,6 @@ def exact_cells(cells: list[tuple[str, int, int, float]], tol_scale: float) -> t
     return not failed, detail + (f"; failed {', '.join(failed)}" if failed else "")
 
 
-def check_curve_2x2_L2(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """M=N=2, L=2: first-segment identity r = 2 r_n, d = f(r_n), exact."""
-    cfg = RatelessConfig(2, 2, L=2)
-    grid = tradeoff.default_r_n_grid(cfg)
-    rateless, conventional = tradeoff.dmt_curves(cfg, grid)[:2]
-    checked = 0
-    for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
-        if r_n < 1:
-            if seg != 1 or pt.r != 2 * r_n or pt.d != tradeoff.tradeoff_f(2, 2, r_n):
-                return False, f"mismatch at r_n={r_n}: {pt}"
-            checked += 1
-    conv = {r_n: pt.d for r_n, pt in zip(conventional.r_n_grid, conventional.points)}
-    anchors_ok = (
-        conv.get(Fraction(0)) == 4 and conv.get(Fraction(1)) == 1 and conv.get(Fraction(2)) == 0
-    )
-    return (
-        checked > 0 and anchors_ok,
-        f"{checked} first-segment points exact; conventional anchors (0,4),(1,1),(2,0) "
-        f"{'ok' if anchors_ok else 'WRONG'}",
-    )
-
-
-def check_sawtooth_3x3_L4(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """M=N=3, L=4: four segments breaking at r_n = 0.75, 1.5, 2.25; d(3) = 0."""
-    cfg = RatelessConfig(3, 3, L=4)
-    grid = tradeoff.default_r_n_grid(cfg)
-    rateless = tradeoff.dmt_curves(cfg, grid)[0]
-    segs = set(rateless.segment_index)
-    if segs != {0, 1, 2, 3, 4}:
-        return False, f"segments found: {sorted(segs)}"
-    breaks = [Fraction(3, 4), Fraction(3, 2), Fraction(9, 4)]
-    eps = Fraction(1, 10**9)
-    for idx, b in enumerate(breaks, start=1):
-        if tradeoff.rateless_segment(cfg, b - eps) != idx or tradeoff.rateless_segment(cfg, b) != idx + 1:
-            return False, f"wrong break behavior at r_n={b}"
-    for r_n, seg, pt in zip(rateless.r_n_grid, rateless.segment_index, rateless.points):
-        if seg > 0:
-            if pt.r != r_n * 4 / seg or pt.d != tradeoff.tradeoff_f(3, 3, r_n):
-                return False, f"mismatch at r_n={r_n}"
-        else:
-            if r_n != 3 or pt.d != 0:
-                return False, f"bad tail point at r_n={r_n}"
-    return True, f"4 segments, breaks at {[str(b) for b in breaks]}, zero-diversity tail at r_n=3"
-
-
 _ORACLE_TRIALS = 10**6
 _GAIN_TRIALS = 10**5
 
@@ -144,59 +95,24 @@ def check_outage_oracle(seed: int, tol_scale: float) -> tuple[bool, str]:
     return ok, f"{len(cells)} cells; {detail}"
 
 
-def check_analytic_slope(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """Closed-form outage exponents: slopes near 0.75 and 0.5 for r_n = 0.25."""
-    etas = [SnrPoint(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
-    r_n, L = 0.25, 2
-    results = []
-    details = []
-    for l, (lo, hi) in ((2, (0.70, 0.78)), (1, (0.45, 0.53))):
-        neglog = [simulate.rank_one_outage(1, 1, eta, L * r_n * eta.log2_eta / l)[1] for eta in etas]
-        slope = simulate.diversity_slope(etas, neglog)
-        lo_s, hi_s = _interval(lo, hi, tol_scale)
-        results.append(lo_s <= slope <= hi_s)
-        details.append(f"p({l}) slope {slope:.4f} in [{lo_s:g},{hi_s:g}]")
-    return all(results), "; ".join(details)
-
-
 def check_effective_gain(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """r_hat near 0.5 for r_n = 0.25 at 60 dB; at L = 2 the Monte Carlo r_hat is monotone in p_hat(1)."""
+    """SISO L=2 sweeps on both rate levels, every (SNR, l) cell against the exact outage law.
+
+    r_n = 0.25 stops on block 1, so r_hat tends to 2 r_n = 0.5; r_n = 0.75 >= min(M, N) / L stops
+    on block 2, so r_hat tends to r_n. At L = 2 the Monte Carlo r_hat is monotone in p_hat(1).
+    """
     cfg = RatelessConfig(1, 1, L=2)
-    eta = SnrPoint(60.0)
-    r_n = 0.25
-    R = r_n * eta.log2_eta
-    p1 = simulate.rank_one_outage(1, 1, eta, 2 * R)[0]
-    rhat_cf = simulate.effective_rate(R, cfg.L, [1.0, p1]) / eta.log2_eta
-    ok_cf = abs(rhat_cf - 0.5) <= 0.05 * 0.5 * tol_scale
-
-    rec = simulate.outage_record(cfg, eta, R, _GAIN_TRIALS, seed)
-    ok_mc, detail = exact_cells([("p(1)", int(rec.stop_hist[1:].sum()), rec.trials, p1)], tol_scale)
-    return (
-        ok_cf and ok_mc,
-        f"closed-form r_hat {rhat_cf:.4f} (target 0.5 within 5%), MC r_hat {rec.r_hat:.4f}; {detail}",
-    )
-
-
-def check_rate_collapse(seed: int, tol_scale: float) -> tuple[bool, str]:
-    """r_n = 0.75 >= min(M,N)/L: rate halves to the second segment, p(1) stops decaying."""
-    eta = SnrPoint(80.0)
-    r_n, L = 0.75, 2
-    R = r_n * eta.log2_eta
-    p1 = simulate.rank_one_outage(1, 1, eta, 2 * R)[0]
-    rhat = simulate.effective_rate(R, L, [1.0, p1]) / eta.log2_eta
-    target = r_n * L / 2
-    ok_rate = abs(rhat - target) <= 0.10 * target * tol_scale
-
-    etas = [SnrPoint(db) for db in (40.0, 50.0, 60.0, 70.0, 80.0)]
-    neglog = [simulate.rank_one_outage(1, 1, e, 2 * r_n * e.log2_eta)[1] for e in etas]
-    slope = simulate.diversity_slope(etas, neglog)
-    lo, hi = _interval(-0.05, 0.05, tol_scale)
-    ok_slope = lo <= slope <= hi
-    return (
-        ok_rate and ok_slope,
-        f"r_hat {rhat:.4f} (target {target:g} within 10%); "
-        f"p(1) exponent slope {slope:.3g} in [{lo:g},{hi:g}]",
-    )
+    cells, notes = [], []
+    for r_n, dbs in ((0.25, (20.0, 40.0, 60.0)), (0.75, (40.0, 60.0, 80.0))):
+        records = simulate.run_rateless_experiment(cfg, r_n, [SnrPoint(db) for db in dbs], _GAIN_TRIALS, seed)
+        for rec in records:
+            for l in (1, 2):
+                oracle = simulate.rank_one_outage(1, 1, rec.eta, cfg.L * rec.R / l)[0]
+                name = f"r_n={r_n:g} {rec.eta.eta_db:g}dB p({l})"
+                cells.append((name, int(rec.stop_hist[l:].sum()), rec.trials, oracle))
+        notes.append(f"r_n={r_n:g} MC r_hat {records[-1].r_hat:.4f} at {dbs[-1]:g}dB")
+    ok, detail = exact_cells(cells, tol_scale)
+    return ok, f"{'; '.join(notes)}; {len(cells)} cells; {detail}"
 
 
 _CODE_TRIALS = 10**6
@@ -346,19 +262,15 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
 
 # name, implementation, runtime limit in seconds
 ALL_CHECKS: tuple[tuple[str, Callable[[int, float], tuple[bool, str]], float], ...] = (
-    ("curve-2x2-L2", check_curve_2x2_L2, 1.0),
-    ("sawtooth-3x3-L4", check_sawtooth_3x3_L4, 1.0),
     ("outage-oracle", check_outage_oracle, 60.0),
-    ("analytic-slope", check_analytic_slope, 1.0),
     ("effective-gain", check_effective_gain, 30.0),
-    ("rate-collapse", check_rate_collapse, 5.0),
     ("permutation-code-trials", check_permutation_code_trials, 600.0),
     ("decoder-correctness", check_decoder_correctness, 30.0),
     ("determinism", check_determinism, 600.0),
 )
 
 
-def run_check(name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> tuple[bool, str]:
+def run_check(name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Run one named check with timing and the runtime budget applied."""
     for check_name, fn, limit in ALL_CHECKS:
         if check_name == name:

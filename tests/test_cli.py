@@ -315,9 +315,12 @@ def test_verify_tightened_tolerances_fail(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
-    # exactness checks have no statistical tolerance and still pass
-    assert any(line.startswith("PASS  curve-2x2-L2") for line in out.splitlines())
-    assert math.isfinite(float(out.splitlines()[-1].split("/")[0]))
+    lines = out.splitlines()
+    assert any(line.startswith("FAIL  effective-gain") for line in lines)
+    # exact checks have no statistical tolerance and still pass
+    for name in ("decoder-correctness", "determinism"):
+        assert any(line.startswith(f"PASS  {name}") for line in lines), name
+    assert math.isfinite(float(lines[-1].split("/")[0]))
 
 
 _SIM = ["simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25", "--trials", "100"]

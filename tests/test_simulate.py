@@ -404,9 +404,11 @@ def test_diversity_slope_constant_probability():
 
 
 def test_diversity_slope_closed_form_siso_quarter_gain():
+    # r_n = 0.25 at L = 2: p(2) and p(1) at thresholds 0.25 and 0.5 log2(eta)
     etas = [SnrPoint(d) for d in range(40, 81, 10)]
-    pts = [(e, _siso_p(e, 0.25 * e.log2_eta)) for e in etas]
-    assert 0.70 <= _slope(pts) <= 0.78  # finite-SNR bias below the limit 0.75
+    for frac, lo, hi in ((0.25, 0.70, 0.78), (0.5, 0.45, 0.53)):
+        pts = [(e, _siso_p(e, frac * e.log2_eta)) for e in etas]
+        assert lo <= _slope(pts) <= hi  # finite-SNR bias below the limits 0.75 and 0.5
 
 
 def test_diversity_slope_validates():
@@ -444,10 +446,11 @@ def test_experiment_every_sweep_cell_matches_rank_one_oracle(M, N):
 
 
 def test_experiment_effective_gain_doubles_at_low_gain():
-    (rec,) = run_rateless_experiment(
-        SISO_L2, 0.25, [SnrPoint(60.0)], trials=100_000, seed=11
-    )
+    eta = SnrPoint(60.0)
+    (rec,) = run_rateless_experiment(SISO_L2, 0.25, [eta], trials=100_000, seed=11)
     assert abs(rec.r_hat - 0.5) <= 0.05 * 0.5
+    exact = effective_rate(rec.R, 2, [1.0, _siso_p(eta, 2 * rec.R)]) / eta.log2_eta
+    assert abs(exact - 0.5) <= 0.05 * 0.5
 
 
 def test_experiment_saturated_gain_trend():
@@ -462,6 +465,13 @@ def test_experiment_saturated_gain_trend():
     assert r_hats[-1] == pytest.approx(1.5, rel=1e-6)
     (rec,) = run_rateless_experiment(SISO_L2, 1.5, [SnrPoint(40.0)], 50_000, seed=2)
     assert rec.p_hat[1] > 0.999  # first level undecodable at high SNR
+    # r_n = 0.75 >= min(M, N) / L saturates only the first level: p(1) stops decaying, r_hat falls to r_n
+    etas = [SnrPoint(d) for d in range(40, 81, 10)]
+    slope = diversity_slope(etas, [rank_one_outage(1, 1, e, 1.5 * e.log2_eta)[1] for e in etas])
+    assert abs(slope) <= 0.05
+    eta, R = etas[-1], 0.75 * etas[-1].log2_eta
+    r_hat = effective_rate(R, 2, [1.0, _siso_p(eta, 2 * R)]) / eta.log2_eta
+    assert abs(r_hat - 0.75) <= 0.10 * 0.75
 
 
 def test_experiment_records_and_csv_are_deterministic(tmp_path):

@@ -185,21 +185,37 @@ def test_curve_small_grid_values():
     ]
     assert [(p.r, p.d) for p in conventional.points][0] == (0, 4)
     assert rateless.segment_index == (1, 1, 1)
+    # the default grid: every first-segment point exact, and the conventional anchors
+    grid = default_r_n_grid(cfg)
+    rateless, conventional, _, _ = dmt_curves(cfg, grid)
+    first = [(r_n, seg, pt) for r_n, seg, pt in zip(grid, rateless.segment_index, rateless.points) if r_n < 1]
+    assert len(first) == 512
+    for r_n, seg, pt in first:
+        assert (seg, pt.r, pt.d) == (1, 2 * r_n, tradeoff_f(2, 2, r_n))
+    conv = dict(zip(grid, conventional.points))
+    assert [(conv[r_n].r, conv[r_n].d) for r_n in (0, 1, 2)] == [(0, 4), (1, 1), (2, 0)]
 
 
 def test_curve_four_segments_sweep_toward_min():
     cfg = RatelessConfig(3, 3, L=4)
-    grid = default_r_n_grid(cfg, points_per_segment=64)
+    grid = default_r_n_grid(cfg)
     rateless = dmt_curves(cfg, grid)[0]
+    assert set(rateless.segment_index) == {0, 1, 2, 3, 4}
     by_segment = {}
-    for seg, pt in zip(rateless.segment_index, rateless.points):
+    for r_n, seg, pt in zip(grid, rateless.segment_index, rateless.points):
         if seg > 0:
+            assert (pt.r, pt.d) == (r_n * 4 / seg, tradeoff_f(3, 3, r_n))
             by_segment.setdefault(seg, []).append(pt.r)
+        else:
+            assert (r_n, pt.r, pt.d) == (3, 3, 0)  # the zero-diversity tail
     assert sorted(by_segment) == [1, 2, 3, 4]
     for seg, rs in by_segment.items():
         assert rs == sorted(rs)
         assert all(r < 3 for r in rs)
         assert max(rs) > F(11, 4)  # each segment sweeps up toward min(M, N) = 3
+    eps = F(1, 10**9)
+    for idx, b in enumerate((F(3, 4), F(3, 2), F(9, 4)), start=1):
+        assert (rateless_segment(cfg, b - eps), rateless_segment(cfg, b)) == (idx, idx + 1)
 
 
 def test_degenerate_single_block_curve_matches_conventional():
