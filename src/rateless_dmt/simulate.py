@@ -10,9 +10,10 @@ enough. Everything is driven by the counter-based substreams in
 thread count.
 
 Each trial's fading draw is reduced once to SNR-free statistics of H
-(:func:`channel_stats`); at full rank they come from a Bartlett factor of
-H H*, drawn with the Gram matrix's law, and H itself is never formed.
-Every SNR of a sweep evaluates I_b from those same statistics
+(:func:`channel_stats`): the coefficients of det(I + a H H*) as a
+polynomial in a, which at full rank come from a real bidiagonal matrix
+whose Gram matrix has the eigenvalue law of H H*; H itself is never
+formed. Every SNR of a sweep evaluates I_b from those same coefficients
 (:func:`block_info`). The SNR cells of one sweep thus share their draws
 (common random numbers), and a cell's counts do not depend on its
 position in the grid or on the other SNRs in it.
@@ -144,67 +145,54 @@ def siso_outage_closed_form(eta: SnrPoint, rate_threshold: float) -> float:
 
 
 def fading_width(M: int, N: int) -> int:
-    """Uniforms per trial that :func:`channel_stats` reads: 2MN at rank one, else the Bartlett count."""
+    """Uniforms per trial that :func:`channel_stats` reads: 2MN at rank one, else K m."""
     K, m = min(M, N), max(M, N)
-    return 2 * M * N if K == 1 else K * m - K * (K - 1) // 2 + (K - 1) ** 2
+    return 2 * M * N if K == 1 else K * m
 
 
 def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
     """The SNR-free statistics of each trial's N x M fading, from its :func:`fading_width` uniforms.
 
-    Returns the planes of a K x K Gram matrix G with the law of X X*, K = min(M, N), X = H or
-    H^T of size K x m, m = max(M, N); det(I + a G) = det(I_N + a H H*) either way. Shape (K, K,
-    trials), packed: Re G_ij at [i, j] for i >= j, Im G_ij at [j, i] for i > j. At rank one,
-    G = ||h||^2 sums the entries' -log1p(-u1), half their squared Box-Muller radii. Otherwise
-    G = T T* for the lower-triangular Bartlett factor T (Goodman 1963): T_ii^2 ~ Gamma(m - i, 1)
-    sums m - i terms -log1p(-u), and CN(0, 1) entries lie below. G -> D G D*, D diagonal
-    unitary, keeps det(I + a G), so the subdiagonal is real, |T_i,i-1|^2 ~ Exp(1) from one
-    uniform, and only entries below it are Box-Muller pairs. The uniforms run: diagonal,
-    subdiagonal, then those pairs, each in row order.
+    Returns e_1..e_K, shape (K, trials), K = min(M, N): the coefficients of det(I + a G) =
+    1 + sum_k e_k a^k for a G with the law of H H*. At rank one e_1 = ||h||^2 sums the entries'
+    -log1p(-u1), half their squared Box-Muller radii. Otherwise G = B B* for the real
+    lower-bidiagonal B of Dumitriu & Edelman (2002, beta = 2), whose eigenvalues have the
+    complex Wishart law of H H* (or H* H, with the same det(I + a G)), m = max(M, N):
+    b_i^2 = B_ii^2 ~ Gamma(m - i, 1) and c_i^2 = B_i+1,i^2 ~ Gamma(K - 1 - i, 1), each a sum of
+    -log1p(-u) terms. The uniforms run: diagonal, then subdiagonal, each in row order. With
+    D_0 = F_0 = 1 and c_-1 = 0, the leading minors D_k of I + a G follow
+    F_k+1 = D_k + a c_k-1^2 F_k and D_k+1 = F_k+1 + a b_k^2 D_k, run here once as polynomials
+    in a; D_K is the determinant. Every step adds or multiplies nonnegative numbers.
     """
     n = len(u)
     K, m = min(M, N), max(M, N)
     if K == 1:
-        return -np.log1p(-u[:, 0::2]).sum(axis=1).reshape(1, 1, n)
-    *starts, d = [i * m - i * (i - 1) // 2 for i in range(K + 1)]  # T_ii^2 from column starts[i] on
-    e = -np.log1p(-np.ascontiguousarray(u[:, : d + K - 1].T))
-    t = np.zeros((2, K, K, n))  # Re and Im planes of T
-    for i, a in enumerate(starts):
-        t[0, i, i] = np.sqrt(e[a : a + m - i].sum(axis=0))
-    t[0, range(1, K), range(K - 1)] = np.sqrt(e[d:])
-    below = [(i, j) for i in range(2, K) for j in range(i - 1)]
-    for (i, j), z in zip(below, rng.complex_normals(u[:, d + K - 1 :]).T):
-        t[:, i, j] = z.real, z.imag
-    g = np.empty((K, K, n))
-    for i in range(K):
-        for j in range(i + 1):
-            ti, tj = t[:, i, : j + 1], t[:, j, : j + 1]  # G_ij = sum_k T_ik conj(T_jk), k <= j
-            g[i, j] = np.einsum("pkt,pkt->t", ti, tj)
-            if j < i:
-                g[j, i] = np.einsum("kt,kt->t", ti[1], tj[0]) - np.einsum("kt,kt->t", ti[0], tj[1])
-    return g
+        return -np.log1p(-u[:, 0::2]).sum(axis=1).reshape(1, n)
+    x = np.empty((K * m, n))  # one row per uniform: a transpose by blocks that stay in cache
+    for t in range(0, n, 1024):
+        x[:, t : t + 1024] = u[t : t + 1024].T
+    np.log1p(np.negative(x, out=x), out=x)  # minus the Exp(1) terms
+    terms = [m - j for j in range(K)] + [K - 1 - j for j in range(K - 1)]
+    sq = [-x[i : i + r].sum(axis=0) for i, r in zip(np.cumsum([0, *terms]), terms)]  # b_i^2, c_i^2
+    d, f = [sq[0]], []  # coefficients 1..k of D_k and 1..k-1 of F_k, whose constant terms are 1
+    for k in range(1, K):
+        c, b = sq[K + k - 1], sq[k]
+        f = [d[0] + c] + [dj + c * fj for dj, fj in zip(d[1:], f)]
+        d = [f[0] + b] + [fj + b * dj for fj, dj in zip(f[1:], d)] + [b * d[-1]]
+    return np.array(d)
 
 
 def block_info(stats: np.ndarray, eta_linear: float, M: int) -> np.ndarray:
-    """Per-trial I_b = log2 det(I + (eta / M) G) from the Gram planes of :func:`channel_stats`.
+    """Per-trial I_b = log2 det(I + a G), a = eta / M, from the coefficients of :func:`channel_stats`.
 
-    A square-root-free Cholesky (A = L D L*) of A = I + (eta / M) G, unrolled over the packed
-    planes. A >= I, so every pivot D_j is >= 1, and log det A sums log1p(D_j - 1).
+    Horner: det(I + a G) - 1 = a (e_1 + a (e_2 + ... + a e_K)), nonnegative terms only.
     """
-    w = (eta_linear / M) * stats  # A - I, packed like stats; its diagonal ends as the D_j - 1
-    K = len(w)
-    for j in range(K - 1):
-        inv = 1.0 / (1.0 + w[j, j])
-        for i in range(j + 1, K):
-            for c in range(j + 1, i + 1):
-                # Schur complement: A_ic -= A_ij conj(A_cj) / D_j, real and imaginary planes
-                w[i, c] -= (w[i, j] * w[c, j] + w[j, i] * w[j, c]) * inv
-                if c < i:
-                    w[c, i] -= (w[j, i] * w[c, j] - w[i, j] * w[j, c]) * inv
-    logdet = np.log1p(w[0, 0])
-    for j in range(1, K):
-        logdet += np.log1p(w[j, j])
-    return logdet / _LN2
+    a = eta_linear / M
+    x = a * stats[-1]
+    for e in stats[-2::-1]:
+        x += e
+        x *= a
+    return np.log1p(x) / _LN2
 
 
 def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:

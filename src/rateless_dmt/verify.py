@@ -247,7 +247,7 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     ok_code = _all_equal([np.concatenate((res.stop_hist, res.err_counts)) for res in code_runs])
     etas = [SnrPoint(d) for d in (20.0, 30.0)]
     runs = ((1, rng.DEFAULT_CHUNK), (2, rng.DEFAULT_CHUNK), (2, 1 << 12))  # (workers, chunk)
-    experiments = [  # SISO, then 2x2 through the Bartlett draw
+    experiments = [  # SISO, then 2x2 through the bidiagonal draw
         [simulate.run_rateless_experiment(c, 0.25, etas, _GAIN_TRIALS, seed, workers=w, chunk=k)
          for w, k in runs]
         for c in (cfg, RatelessConfig(2, 2, L=2))

@@ -20,7 +20,10 @@ def block_mutual_info(H: np.ndarray, eta: SnrPoint, M: Optional[int] = None) -> 
     """Per-channel-use mutual information log2 det(I + (eta / M) H H*) of one N x M matrix.
 
     Gaussian inputs with equal power per transmit antenna. M defaults to
-    the matrix width; passing a mismatching M is an error.
+    the matrix width; passing a mismatching M is an error. A tall H goes
+    through det(I_M + (eta / M) H* H), the same value by Sylvester's
+    identity: slogdet of the larger, nearly singular I_N + (eta / M) H H*
+    loses digits as eta grows (5e-11 relative at 60 dB, 1x4).
     """
     if M is None:
         M = H.shape[1]
@@ -30,7 +33,7 @@ def block_mutual_info(H: np.ndarray, eta: SnrPoint, M: Optional[int] = None) -> 
         raise ValueError("channel matrix has non-finite entries")
     if H.shape == (1, 1):
         return math.log1p(eta.eta_linear * abs(H[0, 0]) ** 2) / math.log(2.0)
-    return factor_mutual_info(H, eta, M)
+    return factor_mutual_info(H.conj().T if H.shape[0] > M else H, eta, M)
 
 
 def factor_mutual_info(X: np.ndarray, eta: SnrPoint, M: int) -> float:
@@ -44,29 +47,22 @@ def factor_mutual_info(X: np.ndarray, eta: SnrPoint, M: int) -> float:
 
 
 def bartlett_factor(u, M: int, N: int) -> np.ndarray:
-    """The K x K lower-triangular Bartlett factor T of one trial, K = min(M, N) >= 2, m = max(M, N).
+    """The K x K real lower-bidiagonal factor B of one trial, K = min(M, N) >= 2, m = max(M, N).
 
-    Reads the row of fading uniforms left to right, each exactly once: for i = 0..K-1 the m - i
-    uniforms whose -log(1 - u) sum to T_ii^2; then T_i,i-1 = sqrt(-log(1 - u)), real, for
-    i = 1..K-1; then, for each entry below the subdiagonal in row order, a radius uniform and an
-    angle uniform, T_ij = sqrt(-log(1 - u1)) * exp(2 pi i u2).
+    B B* has the eigenvalue law of the complex Wishart H H* (Dumitriu & Edelman, 2002). Reads the
+    row of fading uniforms left to right, each exactly once: for i = 0..K-1 the m - i uniforms
+    whose -log(1 - u) sum to B_ii^2; then, for i = 0..K-2, the K - 1 - i that sum to B_i+1,i^2.
     """
     K, m = min(M, N), max(M, N)
     if K < 2:
-        raise ValueError(f"the Bartlett draw needs min(M, N) >= 2, got {M}x{N}")
+        raise ValueError(f"the bidiagonal draw needs min(M, N) >= 2, got {M}x{N}")
     it = iter(float(x) for x in u)
-    T = np.zeros((K, K), dtype=complex)
-    for i in range(K):
-        T[i, i] = math.sqrt(sum(-math.log1p(-next(it)) for _ in range(m - i)))
-    for i in range(1, K):
-        T[i, i - 1] = math.sqrt(-math.log1p(-next(it)))
-    for i in range(2, K):
-        for j in range(i - 1):
-            radius, angle = math.sqrt(-math.log1p(-next(it))), 2.0 * math.pi * next(it)
-            T[i, j] = complex(radius * math.cos(angle), radius * math.sin(angle))
+    B = np.zeros((K, K))
+    for i, j, terms in [(i, i, m - i) for i in range(K)] + [(i + 1, i, K - 1 - i) for i in range(K - 1)]:
+        B[i, j] = math.sqrt(sum(-math.log1p(-next(it)) for _ in range(terms)))
     if next(it, None) is not None:
-        raise ValueError(f"{len(u)} uniforms is more than a {M}x{N} Bartlett draw reads")
-    return T
+        raise ValueError(f"{len(u)} uniforms is more than a {M}x{N} bidiagonal draw reads")
+    return B
 
 
 def rateless_stop(I_b: float, R: float, L: int) -> Optional[int]:

@@ -16,12 +16,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _OUTAGE = ["--L", "2", "--r-n", "0.25", "--eta-db", "10,20,30,40", "--trials", "20000", "--seed", "7"]
 _CODES = ["--L", "2", "--eta-db", "20,30,40", "--trials", "20000", "--seed", "7"]
+_FULL_RANK = ["--eta-db", "10,20,30", "--trials", "20000", "--seed", "7"]
 
 CASES = {
     "dmt_2x2_L2_exact": ["dmt", "--M", "2", "--N", "2", "--L", "2", "--exact", "--per-segment", "16"],
     "dmt_3x3_L4": ["dmt", "--M", "3", "--N", "3", "--L", "4", "--per-segment", "4"],
     "simulate_1x1_L2": ["simulate", "--M", "1", "--N", "1", *_OUTAGE],
     "simulate_2x2_L2": ["simulate", "--M", "2", "--N", "2", *_OUTAGE],
+    # Full rank beyond 2x2: a 3x2 link, and a 4x4 one whose trials stop at blocks 3 and 4.
+    "simulate_3x2_L2": ["simulate", "--M", "3", "--N", "2", "--L", "2", "--r-n", "1", *_FULL_RANK],
+    "simulate_4x4_L4": ["simulate", "--M", "4", "--N", "4", "--L", "4", "--r-n", "2.5", *_FULL_RANK],
     "codes_searched_b2": ["codes", "--bits", "2", *_CODES],
     "codes_identity_b3": ["codes", "--bits", "3", "--identity", *_CODES],
     # Hill-climb search: the budget cuts every restart, and every restart stops at a local optimum.

@@ -117,9 +117,10 @@ def test_stop_rule_has_no_block_length_parameter():
         assert "T" not in inspect.signature(fn).parameters, fn.__name__
 
 
-# (M, N, L): SISO, square, both rank-one orientations, a longer codeword, and both
-# orientations of the min-size Gram matrix (H H* for N < M, H* H for N > M)
-KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2), (3, 2, 2)]
+# (M, N, L): SISO, square, both rank-one orientations, a longer codeword, both orientations
+# of the min-size Gram matrix (H H* for N < M, H* H for N > M), and 3x3, the smallest shape
+# with a subdiagonal sum of two uniforms and a coefficient between e_1 and e_K
+KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2), (3, 2, 2), (3, 3, 4)]
 
 
 class _CodeLayout:
@@ -156,15 +157,18 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     width = fading_width(M, N)
     u = rng.trial_uniforms(rng.stream_key(seed, 0), lead + width + trail, 0, trials)
     fading = u[:, lead : lead + width]
-    if min(M, N) == 1:  # rank one reads the channel itself
-        ref_ib = np.array([block_mutual_info(row.reshape(N, M), eta) for row in rng.complex_normals(fading)])
-    else:  # full rank reads its Bartlett factor, one explicit matrix per trial
-        ref_ib = np.array([factor_mutual_info(bartlett_factor(row, M, N), eta, M) for row in fading])
+    stats = channel_stats(fading, M, N)
+    for snr in (SnrPoint(60.0), eta):  # the ill-conditioned end of the range, then the test point
+        if min(M, N) == 1:  # rank one reads the channel itself
+            channels = rng.complex_normals(fading)
+            ref_ib = np.array([block_mutual_info(row.reshape(N, M), snr) for row in channels])
+        else:  # full rank reads its bidiagonal factor, one explicit matrix per trial
+            ref_ib = np.array([factor_mutual_info(bartlett_factor(row, M, N), snr, M) for row in fading])
+        ib = block_info(stats, snr.eta_linear, M)
+        np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
     # a rate that puts the message size in the middle of the I_b spread
     R = 0.75 * float(np.median(ref_ib))
 
-    ib = block_info(channel_stats(fading, M, N), eta.eta_linear, M)
-    np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
     stop = 1 + np.sum(still_short(ib, R, L), axis=0)  # L + 1 means outage
     ref_stop = [rateless_stop(x, R, L) or L + 1 for x in ref_ib]
     assert stop.tolist() == ref_stop
@@ -180,8 +184,9 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
 
 
 def test_fading_width_is_the_bartlett_count_at_full_rank():
-    # rank one keeps 2MN; full rank reads sum_{i<K} (m - i) + (K - 1) + (K - 1)(K - 2)
-    widths = {(1, 1): 2, (1, 4): 8, (4, 1): 8, (2, 2): 4, (2, 3): 6, (3, 2): 6, (3, 3): 10, (4, 4): 19}
+    # rank one keeps 2MN; full rank reads sum_{i<K} (m - i) on the diagonal and
+    # sum_{i<K-1} (K - 1 - i) below it, K m in all
+    widths = {(1, 1): 2, (1, 4): 8, (4, 1): 8, (2, 2): 4, (2, 3): 6, (3, 2): 6, (3, 3): 9, (4, 4): 16}
     assert {shape: fading_width(*shape) for shape in widths} == widths
     for M, N in widths:
         if min(M, N) > 1:  # the reference reads exactly that many, each once
@@ -190,10 +195,17 @@ def test_fading_width_is_the_bartlett_count_at_full_rank():
                 bartlett_factor(np.full(fading_width(M, N) + 1, 0.5), M, N)
 
 
-# full-rank shapes of the Bartlett draw: square, both orientations of a 2 x 3 link, 3x3 and 4x4
+# full-rank shapes of the bidiagonal draw: square, both orientations of a 2 x 3 link, 3x3 and 4x4
 FULL_RANK = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
-# two-sided z bound of each law test: Bonferroni over its 2 statistics on every shape, family 1e-6
-_Z_LAW = NormalDist().inv_cdf(1 - 1e-6 / (2 * 2 * len(FULL_RANK)))
+
+
+def _z_bound(statistics):
+    """Two-sided z bound of a law test, Bonferroni over its `statistics` z values, family 1e-6."""
+    return NormalDist().inv_cdf(1 - 1e-6 / (2 * statistics))
+
+
+# the log det and trace test and the two-sample test each judge 2 statistics on every shape
+_Z_LAW = _z_bound(2 * len(FULL_RANK))
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -207,31 +219,40 @@ def _trigamma(k):
     return math.pi**2 / 6 - sum(1.0 / j**2 for j in range(1, k))
 
 
-def _unpack(stats):
-    """The complex (trials, K, K) Gram matrices of channel_stats' packed planes."""
-    K = len(stats)
-    g = np.empty((stats.shape[2], K, K), dtype=complex)
-    for i in range(K):
-        g[:, i, i] = stats[i, i]
-        for j in range(i):
-            g[:, i, j] = stats[i, j] + 1j * stats[j, i]
-            g[:, j, i] = stats[i, j] - 1j * stats[j, i]
-    return g
-
-
 @pytest.mark.parametrize("M, N", FULL_RANK)
 def test_bartlett_draw_has_exact_wishart_log_det_and_trace(M, N):
     # G = X X* for K x m CN(0, 1) entries: ln det G sums independent ln Gamma(m - i, 1), so its
-    # mean is sum psi(m - i) and its variance sum psi'(m - i); tr G sums K m unit exponentials
+    # mean is sum psi(m - i) and its variance sum psi'(m - i); tr G sums K m unit exponentials.
+    # det(I + a G) = 1 + sum_k e_k a^k, so e_K = det G and e_1 = tr G.
     K, m = min(M, N), max(M, N)
     trials = 1 << 16
     u = rng.trial_uniforms(rng.stream_key(2021, 0), fading_width(M, N), 0, trials)
-    g = _unpack(channel_stats(u, M, N))
-    logdet = np.linalg.slogdet(g)[1]
+    e = channel_stats(u, M, N)
     se = math.sqrt(sum(_trigamma(m - i) for i in range(K)) / trials)
-    z_logdet = (logdet.mean() - sum(_digamma(m - i) for i in range(K))) / se
-    z_trace = (np.trace(g, axis1=1, axis2=2).real.mean() - K * m) / math.sqrt(K * m / trials)
+    z_logdet = (np.log(e[-1]).mean() - sum(_digamma(m - i) for i in range(K))) / se
+    z_trace = (e[0].mean() - K * m) / math.sqrt(K * m / trials)
     assert abs(z_logdet) < _Z_LAW and abs(z_trace) < _Z_LAW, (z_logdet, z_trace)
+
+
+# shapes with coefficients strictly between e_1 and e_K, and the count of those coefficients
+_MIDDLE = [(M, N) for M, N in FULL_RANK if min(M, N) > 2]
+_Z_MIDDLE = _z_bound(sum(min(M, N) - 2 for M, N in _MIDDLE))
+
+
+@pytest.mark.parametrize("M, N", _MIDDLE)
+def test_bidiagonal_draw_has_exact_wishart_coefficient_means(M, N):
+    # e_k is the sum of the k x k principal minors of G; each has mean m! / (m - k)!, the product
+    # of its k independent Gamma(m - i, 1) Bartlett pivots, and there are C(K, k) of them.
+    # e_1 and e_K are the trace and determinant judged above, so only 1 < k < K is tested here.
+    K, m = min(M, N), max(M, N)
+    trials = 1 << 16
+    u = rng.trial_uniforms(rng.stream_key(2021, 0), fading_width(M, N), 0, trials)
+    e = channel_stats(u, M, N)
+    z = {}
+    for k in range(2, K):
+        mean = math.comb(K, k) * math.perm(m, k)
+        z[k] = (e[k - 1].mean() - mean) / (e[k - 1].std(ddof=1) / math.sqrt(trials))
+    assert all(abs(v) < _Z_MIDDLE for v in z.values()), z
 
 
 def _gaussian_info(gen, trials, M, N, eta):
