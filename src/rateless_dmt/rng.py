@@ -1,14 +1,15 @@
-"""Counter-based randomness so Monte Carlo trials are order-independent.
+"""Jump-ahead randomness so Monte Carlo trials are order-independent.
 
-Every trial owns a fixed window of the Philox counter space: trial t of a
-stream consumes uniforms from counter blocks [t * B, (t + 1) * B) where
-B = ceil(uniforms_per_trial / 4) and each 256-bit counter block yields 4
-doubles. Because the mapping from (key, trial index) to raw uniforms is
-static, any chunking, any thread count, and any execution order reproduce
-bit-identical results. Gaussians come from the trigonometric Box-Muller
-transform, which consumes exactly one uniform per normal, and Gamma(k, 1)
-variates from k uniforms as sums of -log1p(-u); the variable consumption of
-ziggurat or rejection samplers would break the per-trial alignment.
+Every stream is one PCG64DXSM generator (O'Neill 2014), and every trial
+owns a fixed window of its outputs: trial t of a stream of width w reads
+outputs [t * w, (t + 1) * w), one double each, reached by advancing the
+generator t * w steps in O(log t) time. Because the mapping from (stream,
+trial index) to raw uniforms is static, any chunking, any thread count,
+and any execution order reproduce bit-identical results. Gaussians come
+from the trigonometric Box-Muller transform, which consumes exactly one
+uniform per normal, and Gamma(k, 1) variates from k uniforms as sums of
+-log1p(-u); the variable consumption of ziggurat or rejection samplers
+would break the per-trial alignment.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
-from numpy.random import Generator, Philox
-
-UNIFORMS_PER_BLOCK = 4
+from numpy.random import Generator, PCG64DXSM, SeedSequence
 
 DEFAULT_CHUNK = 1 << 16
 
@@ -28,29 +27,31 @@ _SQRT_HALF = np.sqrt(0.5)
 T = TypeVar("T")
 
 
-def stream_key(*entropy: int) -> np.ndarray:
-    """Derive a 128-bit Philox key from integer entropy (seed, stream tags)."""
-    return np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint64)
-
-
-def blocks_per_trial(uniforms_per_trial: int) -> int:
-    if uniforms_per_trial < 1:
-        raise ValueError("uniforms_per_trial must be >= 1")
-    return -(-uniforms_per_trial // UNIFORMS_PER_BLOCK)
+def stream_key(*entropy: int) -> SeedSequence:
+    """The seed of one PCG64DXSM stream, from integer entropy (seed, stream tags)."""
+    return SeedSequence(entropy)
 
 
 def trial_uniforms(
-    key: np.ndarray, uniforms_per_trial: int, start_trial: int, n_trials: int
+    key: SeedSequence, uniforms_per_trial: int, start_trial: int, n_trials: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Uniforms in [0, 1) for trials [start_trial, start_trial + n_trials).
 
     Returns shape (n_trials, uniforms_per_trial); row t - start_trial is
-    exactly what a standalone generator seeded at trial t would produce.
+    exactly what a draw of trial t alone would produce. With `out`, a 1-D
+    float64 buffer of at least n_trials * uniforms_per_trial entries (a
+    shorter one raises ValueError), the draw fills its head and returns a
+    view of it, so a caller can reuse one buffer across chunks instead of
+    faulting in fresh pages.
     """
-    b = blocks_per_trial(uniforms_per_trial)
-    gen = Generator(Philox(key=key, counter=int(start_trial) * b))
-    raw = gen.random(n_trials * b * UNIFORMS_PER_BLOCK)
-    return raw.reshape(n_trials, b * UNIFORMS_PER_BLOCK)[:, :uniforms_per_trial]
+    if uniforms_per_trial < 1:
+        raise ValueError("uniforms_per_trial must be >= 1")
+    shape = (n_trials, uniforms_per_trial)
+    if out is not None:
+        out = out[: n_trials * uniforms_per_trial].reshape(shape)
+    bits = PCG64DXSM(key)
+    bits.advance(int(start_trial) * uniforms_per_trial)
+    return Generator(bits).random(shape, out=out)
 
 
 def complex_normals(u: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ receiver accumulates mutual information block by block and decodes at the
 first block l where l * I_b >= L * R; if no block qualifies the codeword
 is in outage. Decoding itself is not simulated here: information outage
 is the error proxy, which is the operative event once blocks are long
-enough. Everything is driven by the counter-based substreams in
+enough. Everything is driven by the jump-ahead streams in
 :mod:`rateless_dmt.rng`, so results are bit-identical for any chunking or
 thread count.
 
@@ -22,6 +22,7 @@ position in the grid or on the other SNRs in it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -239,11 +240,17 @@ def stop_counts(
     M, N, L = cfg.M, cfg.N, cfg.L
     lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     n_h = fading_width(M, N)
+    width = lead + n_h + trail
     # stream 0: the key of every simulate output, golden file and perfbench outage digest
     key = rng.stream_key(seed, 0)
+    # one uniform buffer per worker thread, reused by its chunks: fresh chunk-sized
+    # buffers are often handed back to the OS and page-faulted in again by the next chunk
+    local = threading.local()
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
-        u = rng.trial_uniforms(key, lead + n_h + trail, t0, n)
+        if not hasattr(local, "u"):
+            local.u = np.empty(min(chunk, trials) * width)
+        u = rng.trial_uniforms(key, width, t0, n, out=local.u)
         blocks = (u[:, :lead], u[:, lead : lead + n_h], u[:, lead + n_h :])  # lead, fading, trail
         stats = channel_stats(blocks[1], M, N)
         rows = []

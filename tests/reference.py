@@ -2,7 +2,7 @@
 
 Each function handles one trial with plain Python control flow and an
 explicit matrix, so it shares no code path with `rateless_dmt.simulate`.
-The kernel tests feed both the same Philox uniforms and compare per-trial
+The kernel tests feed both the same stream uniforms and compare per-trial
 results.
 """
 

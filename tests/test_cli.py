@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rateless_dmt import SnrPoint, rank_one_outage
+from rateless_dmt import SnrPoint, rank_one_outage, simulate
 from rateless_dmt.cli import main
 from rateless_dmt.permcode import codebook_text, identity_code, load_codebook, prefix_min_products
 from rateless_dmt.verify import exact_cells
@@ -136,7 +136,7 @@ def test_simulate_prints_slope_fit_against_analytic_limit(tmp_path, capsys):
     # p(2) fits 10..40 dB only: past 40 dB fewer than 10 of the 20000 trials are short
     assert lines[1:] == [
         "  p(1): fitted slope 0.443, analytic limit 0.500",
-        "  p(2): fitted slope 0.626, analytic limit 0.750",
+        "  p(2): fitted slope 0.586, analytic limit 0.750",
     ]
 
 
@@ -145,20 +145,31 @@ def test_simulate_slope_limit_is_mimo_f_and_needs_two_cells(tmp_path, capsys):
     assert main(mimo + ["--eta-db", "10,15,20,25", "--seed", "7", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     # f(2, 2, 1.5) = 1 + 0.5 * (3 - 4) and f(2, 2, 0.75) = 4 + 0.75 * (1 - 4);
-    # p(2) fits 10, 15 and 20 dB only, the SNRs with at least 10 trials short after block 2
-    assert "  p(1): fitted slope 0.218, analytic limit 0.500" in out
-    assert "  p(2): fitted slope 1.114, analytic limit 1.750" in out
+    # p(2) fits 10 and 15 dB only, the SNRs with at least 10 trials short after block 2
+    assert "  p(1): fitted slope 0.215, analytic limit 0.500" in out
+    assert "  p(2): fitted slope 1.078, analytic limit 1.750" in out
     assert main(mimo + ["--eta-db", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         f"  p({l}): too few usable points for a slope fit" for l in (1, 2)
     ]
-    # at r_n = 0.25, p(2) holds 2, 5 and 1 of 20000 trials at 3, 6 and 9 dB, under the 10 a fit needs
+    # at r_n = 0.25, p(2) holds 0, 0 and 0 of 20000 trials at 3, 6 and 9 dB, under the 10 a fit needs
     low = [arg if arg != "0.75" else "0.25" for arg in mimo]
     assert main(low + ["--eta-db", "3,6,9", "--seed", "13", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # p(1) holds 14, 27 and 14 events, so the fit is -2.6e-15; it prints 0.000, not -0.000
-    assert lines[1] == "  p(1): fitted slope 0.000, analytic limit 2.500"
+    # p(1) holds 18, 27 and 19 events
+    assert lines[1] == "  p(1): fitted slope -0.039, analytic limit 2.500"
     assert lines[2] == "  p(2): too few usable points for a slope fit"
+
+
+def test_simulate_prints_a_slope_that_rounds_to_zero_without_sign(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "diversity_slope", lambda *args: -2.6e-15)
+    assert main([
+        "simulate", "--M", "1", "--N", "1", "--L", "2", "--r-n", "0.25",
+        "--eta-db", "10,20", "--trials", "20000", "--seed", "7", "--out", str(tmp_path),
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  p({l}): fitted slope 0.000, analytic limit {limit}" for l, limit in ((1, "0.500"), (2, "0.750"))
+    ]
 
 
 def test_simulate_validates_trials(tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""Substream alignment and determinism of the counter-based RNG layer."""
+"""Trial windows and determinism of the jump-ahead RNG layer."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.random import PCG64DXSM, Generator
 
 from rateless_dmt import rng
+from rateless_dmt.configs import RatelessConfig
+from rateless_dmt.simulate import SnrPoint, stop_counts
 
 
 def test_trial_windows_match_single_trial_streams():
@@ -33,15 +38,46 @@ def test_distinct_streams_disagree():
     assert not np.array_equal(a, c)
 
 
-@given(st.integers(min_value=1, max_value=64))
-def test_blocks_per_trial_is_ceiling(u):
-    b = rng.blocks_per_trial(u)
-    assert (b - 1) * rng.UNIFORMS_PER_BLOCK < u <= b * rng.UNIFORMS_PER_BLOCK
+@given(st.integers(1, 9), st.integers(0, 40), st.integers(1, 9))
+def test_trial_rows_are_slices_of_one_long_draw(width, start, n):
+    # no padding: trial t reads outputs [t w, (t + 1) w) of the stream, for any width and start
+    key = rng.stream_key(3, 1)
+    flat = Generator(PCG64DXSM(key)).random((start + n) * width)
+    rows = rng.trial_uniforms(key, width, start, n)
+    assert np.array_equal(rows, flat[start * width :].reshape(n, width))
 
 
-def test_blocks_per_trial_rejects_zero():
+def test_trial_uniforms_rejects_zero_width():
     with pytest.raises(ValueError):
-        rng.blocks_per_trial(0)
+        rng.trial_uniforms(rng.stream_key(1), 0, 0, 4)
+
+
+def test_out_buffer_holds_a_fresh_draw():
+    key = rng.stream_key(4)
+    fresh = rng.trial_uniforms(key, 7, 13, 10)
+    buf = np.full(100, np.nan)
+    got = rng.trial_uniforms(key, 7, 13, 10, out=buf)
+    assert np.shares_memory(got, buf) and np.array_equal(got, fresh)
+    assert np.isnan(buf[70:]).all()
+    with pytest.raises(ValueError):
+        rng.trial_uniforms(key, 7, 13, 10, out=np.empty(69))
+
+
+def test_reused_buffers_leave_stop_counts_unchanged():
+    # each worker reuses one buffer across its chunks; the last chunk of 4000 = 62 * 64 + 32
+    # fills only its head, and a wider call made first must not leak into the 4x4 one.
+    # A short switch interval interleaves the two threads, so a buffer they shared would show.
+    points = [(SnrPoint(db), 2.5 * SnrPoint(db).log2_eta) for db in (10, 20)]
+    stop_counts(RatelessConfig(6, 6, 4), points, 3000, 5, workers=2)
+    cfg = RatelessConfig(4, 4, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reused = stop_counts(cfg, points, 4000, 5, chunk=64, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(reused, stop_counts(cfg, points, 4000, 5))
+    assert reused[:, 2:4].any()  # trials stop at blocks 3 and 4, so the rows hold events
 
 
 def test_standard_normals_moments():

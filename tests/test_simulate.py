@@ -148,7 +148,7 @@ class _CodeLayout:
 @pytest.mark.parametrize("layout", ["outage", "code"])
 @pytest.mark.parametrize("M, N, L", KERNEL_SHAPES)
 def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
-    # same Philox uniforms into the batched kernel and the scalar oracles
+    # the same trial uniforms into the batched kernel and the scalar oracles
     cfg = RatelessConfig(M, N, L)
     eta = SnrPoint(10.0)
     trials, seed = 400, 21
