@@ -21,7 +21,6 @@ from .simulate import (
     SnrPoint,
     diversity_slope,
     effective_rate,
-    outage_record,
     rank_one_outage,
     run_rateless_experiment,
 )

@@ -40,7 +40,8 @@ _SCREEN_BLOCK = 1 << 16
 # (1 - delta) eta |h|^2 rho_l^2: every other message is then farther from y than the sent one
 # by more than delta / 2 |s|^2 d2_min, and d2_min >= 4 c^2 >= max|x|^2 / 112.5 on every grid.
 # That is about 4e6 / l times the rounding of ml_decode's sums (1e-15 of |s|^2 l max|x|^2) and
-# of the energies taken from the radius uniforms (1e-16 of themselves).
+# of the energies (1e-16 of themselves): the noise's from its radius uniforms, and the gain
+# |h|^2 = e_1 of simulate.channel_stats.
 _BALL_MARGIN = 1e-6
 
 
@@ -320,41 +321,42 @@ class CodeTrialResult(SnrRecord):
 class _PrefixErrors:
     """Decoder hook for :func:`simulate.stop_counts`: errors per stopping block.
 
-    One uniform for the message before the fading draw, 2L for the noises
-    after it, whatever the codebook, so equal seeds share all randomness and
-    paired code comparisons stay tight. A trial that stops at block l and whose
-    noise lies inside the prefix's packing ball, sum_{k <= l} |n_k|^2 <
-    (1 - `_BALL_MARGIN`) eta |h|^2 rho_l^2, decodes correctly whatever its
-    message and angles; both energies are -log1p(-u) of the Box-Muller radius
-    uniforms, so such a trial is counted with no normals and no decoding. Only
-    a trial that stops at block l outside its ball converts its fading and
-    first 2l noise uniforms; an outage converts none.
+    ML decoding of a SISO code sees the channel only through |h|: turning y
+    by the phase of h leaves the law of the circular noise unchanged. So the
+    hook reads e_1 = |h|^2 from the kernel's `stats` and decodes with the
+    real gain h = sqrt(e_1). Its own uniforms are one for the message, then
+    2L for the noises, whatever the codebook, so equal seeds share all
+    randomness and paired code comparisons stay tight. A trial that stops at
+    block l and whose noise lies inside the prefix's packing ball,
+    sum_{k <= l} |n_k|^2 < (1 - `_BALL_MARGIN`) eta e_1 rho_l^2, decodes
+    correctly whatever its message and angles; the noise energies are
+    -log1p(-u) of the Box-Muller radius uniforms, so such a trial is counted
+    with no normals and no decoding. Only a trial that stops at block l
+    outside its ball converts its first 2l noise uniforms; an outage
+    converts none.
     """
-
-    lead = 1
 
     def __init__(self, code: PermutationCode, eta: SnrPoint):
         self.code = code
-        self.trail = 2 * code.L
+        self.width = 1 + 2 * code.L
         self.sqrt_eta = math.sqrt(eta.eta_linear)
         self.balls = (1 - _BALL_MARGIN) * eta.eta_linear * code.packing_sq
 
-    def __call__(self, lead, fading, trail, short) -> np.ndarray:
+    def __call__(self, own, stats, short) -> np.ndarray:
         table = self.code.symbol_table
         L, n_msgs = table.shape
         err_counts = np.zeros(L, dtype=np.int64)
-        left = np.ones(len(lead), dtype=bool)
+        left = np.ones(len(own), dtype=bool)
         for l in range(1, L + 1):
             stop = np.flatnonzero(left & ~short[l - 1])  # stops at block l
             left = short[l - 1]
-            # log1p(-u) is minus each energy; h = 0 (u = 0) never passes
-            noise = np.log1p(-trail[stop, : 2 * l : 2]).sum(axis=1)
-            stop = stop[~(noise > self.balls[l - 1] * np.log1p(-fading[stop, 0]))]
+            noise = -np.log1p(-own[stop, 1 : 2 * l : 2]).sum(axis=1)
+            stop = stop[~(noise < self.balls[l - 1] * stats[0, stop])]  # h = 0 never passes
             if not len(stop):
                 continue
-            (h,) = rng.complex_normals(fading[stop]).T
-            y = rng.complex_normals(trail[stop, : 2 * l])  # the noise, then y in place
-            sent = np.minimum((lead[:, 0][stop] * n_msgs).astype(np.int64), n_msgs - 1)
+            h = np.sqrt(stats[0, stop])
+            y = rng.complex_normals(own[stop, 1 : 2 * l + 1])  # the noise, then y in place
+            sent = np.minimum((own[stop, 0] * n_msgs).astype(np.int64), n_msgs - 1)
             y += self.sqrt_eta * h[:, None] * table[:l, sent].T
             decoded = ml_decode(self.code, l, y, h, self.sqrt_eta)
             err_counts[l - 1] = np.count_nonzero(decoded != sent)

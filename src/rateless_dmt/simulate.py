@@ -224,10 +224,12 @@ def stop_counts(
     uniforms once; its SNR-free statistics then serve every point and
     every l, so the points share the draw (common random numbers), and a
     point's row does not depend on the other points or their order. A
-    decoder riding along takes exactly one point and reserves `decoder.lead`
-    uniforms before the fading draw and `decoder.trail` after; this function
-    alone cuts those blocks and calls decoder(lead, fading, trail, short)
-    per chunk with them and the still-short masks. Its counts end the row.
+    decoder riding along takes exactly one point, and each trial draws its
+    `decoder.width` own uniforms after the fading draw; this function alone
+    cuts the two blocks and calls decoder(own, stats, short) per chunk with
+    the own block, the fading's :func:`channel_stats` and the still-short
+    masks, so a decoder sees the channel only through those statistics.
+    Its counts end the row.
     The counts do not depend on the chunk size or the worker count.
     """
     if trials < 1:
@@ -238,9 +240,8 @@ def stop_counts(
         if R < 0:
             raise ValueError(f"R must be >= 0, got {R}")
     M, N, L = cfg.M, cfg.N, cfg.L
-    lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     n_h = fading_width(M, N)
-    width = lead + n_h + trail
+    width = n_h + (decoder.width if decoder else 0)
     # stream 0: the key of every simulate output, golden file and perfbench outage digest
     key = rng.stream_key(seed, 0)
     # one uniform buffer per worker thread, reused by its chunks: fresh chunk-sized
@@ -251,15 +252,15 @@ def stop_counts(
         if not hasattr(local, "u"):
             local.u = np.empty(min(chunk, trials) * width)
         u = rng.trial_uniforms(key, width, t0, n, out=local.u)
-        blocks = (u[:, :lead], u[:, lead : lead + n_h], u[:, lead + n_h :])  # lead, fading, trail
-        stats = channel_stats(blocks[1], M, N)
+        fading, own = u[:, :n_h], u[:, n_h:]
+        stats = channel_stats(fading, M, N)
         rows = []
         for eta, R in points:
             short = still_short(block_info(stats, eta.eta_linear, M), R, L)
             # nested masks: the drop in the short count at block l is the trials that stop there
             left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
             stops = -np.diff(left)
-            rows.append(stops if decoder is None else np.concatenate((stops, decoder(*blocks, short))))
+            rows.append(stops if decoder is None else np.concatenate((stops, decoder(own, stats, short))))
         return np.stack(rows)
 
     # integer sums, so the result is exact in any order
@@ -269,29 +270,6 @@ def stop_counts(
 def binomial_stderr(p, n: int):
     """Standard error sqrt(p (1 - p) / n) of a binomial proportion p over n trials."""
     return np.sqrt(p * (1.0 - p) / n)
-
-
-def outage_record(
-    cfg: RatelessConfig,
-    eta: SnrPoint,
-    R: float,
-    trials: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    chunk: int = rng.DEFAULT_CHUNK,
-) -> SnrRecord:
-    """Monte Carlo p(l) for l = 0..L, stop histogram and effective rate at one SNR and rate R.
-
-    The one-point call of :func:`stop_counts`. One fading draw per trial
-    is shared across all l, so the estimates are exactly nonincreasing in
-    l. Calls with the same seed reuse the same fading draws, which couples
-    comparisons across SNR or rate through common random numbers; the
-    record equals the row of any :func:`run_rateless_experiment` sweep of
-    the seed that holds this SNR and rate.
-    """
-    (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, workers=workers, chunk=chunk)
-    return SnrRecord(eta=eta, R=R, stop_hist=stops)
 
 
 def effective_rate(R: float, L: int, p: Sequence[float]) -> float:
@@ -336,8 +314,8 @@ def run_rateless_experiment(
     The rate scales with SNR as R = r_n * log2(eta). One kernel call covers
     the whole grid: every SNR evaluates the same fading draw of each trial
     (common random numbers), so the cells of a sweep are correlated, and
-    each record equals the one-point :func:`outage_record` at its SNR and
-    rate, whatever its grid position.
+    each record equals the one-point :func:`stop_counts` row at its SNR
+    and rate, whatever its grid position.
     """
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")

@@ -236,7 +236,7 @@ def check_determinism(seed: int, tol_scale: float) -> tuple[bool, str]:
     cfg = RatelessConfig(1, 1, L=2)
     eta, eta30 = SnrPoint(10.0), SnrPoint(30.0)
     ok_profile = _all_equal([
-        simulate.outage_record(cfg, eta, 1.0, _ORACLE_TRIALS, seed, workers=w, chunk=c).stop_hist
+        simulate.stop_counts(cfg, [(eta, 1.0)], _ORACLE_TRIALS, seed, workers=w, chunk=c)
         for w, c in ((1, rng.DEFAULT_CHUNK), (1, rng.DEFAULT_CHUNK), (4, 1 << 12))
     ])
     code, _ = permcode.search_permutation_code(L=2, bits=2)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -446,8 +447,9 @@ def test_trials_rate_comes_from_codebook():
 
 
 def test_trials_stop_and_errors_match_scalar_reference():
-    # code-trial layout per trial: message uniform, two for h, 2L for the noises. At L=3
-    # the middle stop block l=2 decodes a prefix that is neither the first nor the whole.
+    # code-trial layout per trial: two for h (radius, angle), the message uniform, 2L for the
+    # noises. Decoding sees h turned by its phase, the real gain |h| = sqrt(-log1p(-u_radius)).
+    # At L=3 the middle stop block l=2 decodes a prefix that is neither the first nor the whole.
     for L, bits in ((2, 3), (3, 2)):
         code, _ = search_permutation_code(L, bits)
         n = code.n_messages
@@ -460,10 +462,11 @@ def test_trials_stop_and_errors_match_scalar_reference():
         stop_hist = np.zeros(L + 1, dtype=np.int64)
         fails = np.zeros(L, dtype=np.int64)
         for row in u:
-            m = min(int(row[0] * n), n - 1)
-            h = complex(rng.complex_normals(row[1:3])[0])
+            gain = -math.log1p(-row[0])
+            h = math.sqrt(gain)
+            m = min(int(row[2] * n), n - 1)
             noise = rng.complex_normals(row[3:])
-            stop = rateless_stop(math.log2(1.0 + eta.eta_linear * abs(h) ** 2), R, L)
+            stop = rateless_stop(math.log2(1.0 + eta.eta_linear * gain), R, L)
             if stop is None:
                 stop_hist[L] += 1
                 fails[L - 1] += 1
@@ -474,6 +477,38 @@ def test_trials_stop_and_errors_match_scalar_reference():
         assert res.stop_hist.tolist() == stop_hist.tolist()
         assert np.count_nonzero(stop_hist) == L + 1 and fails[0] > 0
         assert np.array_equal(res.joint_err, fails / trials)
+
+
+def test_real_frame_errors_match_complex_gaussian_channels():
+    # two samples: the kernel decodes with the real gain |h|, while a simulation that shares no
+    # draw with it takes complex h, noises and messages from PCG64, a generator the kernel never
+    # uses, and decodes on complex h. Turning y by the phase of h leaves the noise's law, so the
+    # errors of each stop block must agree within the Bonferroni z bound over the L cells.
+    code, _ = search_permutation_code(2, 3)
+    L, eta, trials = code.L, SnrPoint(15.0), 1 << 18
+    sqrt_eta = math.sqrt(eta.eta_linear)
+    res = run_rateless_code_trials(code, eta, trials, seed=2021)
+
+    gen = np.random.Generator(np.random.PCG64(2021))
+
+    def normals(shape):  # CN(0, 1)
+        return (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * math.sqrt(0.5)
+
+    h = normals(trials)
+    sent = gen.integers(code.n_messages, size=trials)
+    ib = np.log2(1.0 + eta.eta_linear * np.abs(h) ** 2)
+    bound = NormalDist().inv_cdf(1 - 1e-6 / (2 * L))
+    left = np.ones(trials, dtype=bool)
+    for l in range(1, L + 1):
+        short = l * ib < code.bits  # L R = bits
+        stop = np.flatnonzero(left & ~short)  # stops at block l
+        left = short
+        y = sqrt_eta * h[stop, None] * code.symbol_table[:l, sent[stop]].T + normals((len(stop), l))
+        a = int(res.err_counts[l - 1])
+        b = int(np.count_nonzero(ml_decode(code, l, y, h[stop], sqrt_eta) != sent[stop]))
+        p = (a + b) / (2 * trials)
+        z = (a - b) / math.sqrt(2 * trials * p * (1 - p))
+        assert abs(z) < bound, (l, a, b, z)
 
 
 def _brute_force_d2_min(code, l):
@@ -487,8 +522,8 @@ def _brute_force_d2_min(code, l):
 
 def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
     # a trial that stops at block l with its noise outside the prefix's packing ball turns its
-    # 2 fading and first 2l noise uniforms into normals; one inside the ball, or an outage,
-    # converts none (whole trials would convert 2 + 2L = 6 each)
+    # first 2l noise uniforms into normals; one inside the ball, or an outage, converts none,
+    # and no trial converts its fading (whole trials would convert 2 + 2L = 6 each)
     code, _ = search_permutation_code(2, 2)
     eta, trials, seed = SnrPoint(10.0), 4000, 5
     converted = []
@@ -503,7 +538,7 @@ def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
 
     # the ball from the uniforms: |h|^2 and |n_k|^2 are -log1p(-u) of the Box-Muller radii
     u = rng.trial_uniforms(rng.stream_key(seed, 0), 3 + 2 * code.L, 0, trials)
-    gain = -np.log1p(-u[:, 1])
+    gain = -np.log1p(-u[:, 0])
     noise = np.cumsum(-np.log1p(-u[:, 3::2]), axis=1)  # column l - 1: sum_{k <= l} |n_k|^2
     rho2 = [_brute_force_d2_min(code, l) / 4 for l in (1, 2)]
     stop_hist = np.zeros(code.L + 1, dtype=np.int64)
@@ -515,7 +550,7 @@ def test_code_trials_convert_only_the_draws_of_trials_that_decode(monkeypatch):
             outside[l - 1] += not noise[t, l - 1] < (1 - 1e-6) * rho2[l - 1] * eta.eta_linear * gain[t]
     assert stop_hist.tolist() == res.stop_hist.tolist()
     assert np.all(outside > 0) and np.all(outside < res.stop_hist[:-1])  # some screened, some not
-    assert sum(converted) == sum(outside[l - 1] * (2 + 2 * l) for l in (1, 2))
+    assert sum(converted) == sum(outside[l - 1] * 2 * l for l in (1, 2))
 
 
 _BALL_CODES = {
@@ -532,9 +567,9 @@ def _radius_angle(z):
 
 @pytest.mark.parametrize("name", sorted(_BALL_CODES))
 def test_packing_ball_screen_is_sound(name, monkeypatch):
-    # noise at (1 -+ 1e-3) rho_l from a codeword, straight toward its nearest codeword: just
-    # inside the ball the trial is counted correct without decoding, as brute force decodes it;
-    # just outside it is decoded, and decodes wrong
+    # noise at (1 -+ 1e-3) rho_l from a codeword, straight toward its nearest codeword in the
+    # frame where h is real: just inside the ball the trial is counted correct without decoding,
+    # as brute force decodes it; just outside it is decoded, and decodes wrong
     code = _BALL_CODES[name]()
     L, n = code.L, code.n_messages
     rho2 = [_brute_force_d2_min(code, l) / 4 for l in range(1, L + 1)]
@@ -551,7 +586,7 @@ def test_packing_ball_screen_is_sound(name, monkeypatch):
     # low enough that every noise energy has a radius uniform below 1, so it converts back
     eta = SnrPoint(5.0)
     sqrt_eta = math.sqrt(eta.eta_linear)
-    gains = np.array([0.3 + 0.2j, -1.1 + 0.6j, 0.05 - 0.7j, 1.3 + 0.0j])  # |h|^2 both sides of 1
+    gains = np.array([0.36, 1.25, 0.7, 1.3])  # |h|, with |h|^2 both sides of 1
     table = code.symbol_table
     for l in range(1, L + 1):
         d2 = np.sum(np.abs(table[:l, :, None] - table[:l, None, :]) ** 2, axis=0)
@@ -562,17 +597,17 @@ def test_packing_ball_screen_is_sound(name, monkeypatch):
         s = sqrt_eta * h
         step = (table[:l, near] - table[:l, sent]).T / (2 * math.sqrt(rho2[l - 1]))  # unit rows
         short = [np.full(len(sent), k < l - 1) for k in range(L)]  # every row stops at block l
-        lead = ((sent + 0.5) / n)[:, None]
-        fading = _radius_angle(h)
+        stats = (h**2)[None, :]  # channel_stats of a rank-one link: e_1 = |h|^2
         for f, inside in ((1 - 1e-3, True), (1 + 1e-3, False)):
             noise = f * math.sqrt(rho2[l - 1]) * s[:, None] * step
-            trail = np.full((len(sent), 2 * L), 0.5)
-            trail[:, : 2 * l] = _radius_angle(noise).reshape(len(sent), 2 * l)
+            own = np.full((len(sent), 1 + 2 * L), 0.5)
+            own[:, 0] = (sent + 0.5) / n
+            own[:, 1 : 2 * l + 1] = _radius_angle(noise).reshape(len(sent), 2 * l)
             decoded_rows.clear()
-            err_counts = permcode._PrefixErrors(code, eta)(lead, fading, trail, short)
-            # the hook's own draws: the normals it would convert, and the prefix received
-            h_drawn = complex_normals(fading)[:, 0]
-            y = sqrt_eta * h_drawn[:, None] * table[:l, sent].T + complex_normals(trail[:, : 2 * l])
+            err_counts = permcode._PrefixErrors(code, eta)(own, stats, short)
+            # the hook's own draws: its real gain, the normals it would convert, the prefix received
+            h_drawn = np.sqrt(stats[0])
+            y = sqrt_eta * h_drawn[:, None] * table[:l, sent].T + complex_normals(own[:, 1 : 2 * l + 1])
             some = range(0, len(sent), -(-len(sent) // 128))  # brute force is slow at 256 messages
             brute = np.array([_brute_force_decode(code, y[t], h_drawn[t], eta) for t in some])
             if inside:

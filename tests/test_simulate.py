@@ -22,7 +22,6 @@ from rateless_dmt import (
     SnrPoint,
     diversity_slope,
     effective_rate,
-    outage_record,
     rank_one_outage,
     rng,
     run_rateless_code_trials,
@@ -124,24 +123,22 @@ KERNEL_SHAPES = [(1, 1, 2), (2, 2, 2), (1, 4, 2), (4, 1, 2), (4, 4, 4), (2, 3, 2
 
 
 class _CodeLayout:
-    """Decoder stub reserving the code-trial uniforms: one before the fading draw, 2L after.
+    """Decoder stub drawing the code-trial uniforms: 1 + 2L of its own after the fading draw.
 
-    It asserts that each call gets 1, fading_width(M, N) and 2L columns of the same chunk,
-    and keeps them, so a test can check that together they are exactly the trials' uniforms.
+    It asserts that each call gets 1 + 2L own columns and the K rows of channel_stats for the
+    same chunk, and keeps both, so a test can check them against the trials' uniforms.
     """
 
-    lead = 1
-
     def __init__(self, M, N, L):
-        self.trail = 2 * L
-        self.widths = (1, fading_width(M, N), 2 * L)
+        self.width = 1 + 2 * L
+        self.K, self.L = min(M, N), L
         self.seen = []
 
-    def __call__(self, lead, fading, trail, short):
-        n = len(lead)
-        assert [b.shape for b in (lead, fading, trail)] == [(n, w) for w in self.widths]
-        assert [len(s) for s in short] == [n] * (self.trail // 2)
-        self.seen.append(np.hstack((lead, fading, trail)))
+    def __call__(self, own, stats, short):
+        n = len(own)
+        assert own.shape == (n, self.width) and stats.shape == (self.K, n)
+        assert [len(s) for s in short] == [n] * self.L
+        self.seen.append(np.hstack((own, stats.T)))
         return np.zeros(0, dtype=np.int64)
 
 
@@ -153,10 +150,9 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     eta = SnrPoint(10.0)
     trials, seed = 400, 21
     decoder = _CodeLayout(M, N, L) if layout == "code" else None
-    lead, trail = (decoder.lead, decoder.trail) if decoder else (0, 0)
     width = fading_width(M, N)
-    u = rng.trial_uniforms(rng.stream_key(seed, 0), lead + width + trail, 0, trials)
-    fading = u[:, lead : lead + width]
+    u = rng.trial_uniforms(rng.stream_key(seed, 0), width + (decoder.width if decoder else 0), 0, trials)
+    fading = u[:, :width]
     stats = channel_stats(fading, M, N)
     for snr in (SnrPoint(60.0), eta):  # the ill-conditioned end of the range, then the test point
         if min(M, N) == 1:  # rank one reads the channel itself
@@ -178,9 +174,10 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
     # the full kernel, chunked and threaded, lands on the same histogram
     (stops,) = stop_counts(cfg, [(eta, R)], trials, seed, chunk=64, workers=2, decoder=decoder)
     assert stops.tolist() == ref_hist.tolist()
-    if decoder:  # the three blocks of every chunk, in any chunk order, rebuild the uniforms
+    if decoder:  # every chunk's own block and statistics, in any chunk order, are the trials'
         seen = np.concatenate(decoder.seen)
-        assert np.array_equal(seen[np.lexsort(seen.T)], u[np.lexsort(u.T)])
+        expected = np.hstack((u[:, width:], stats.T))
+        assert np.array_equal(seen[np.lexsort(seen.T)], expected[np.lexsort(expected.T)])
 
 
 def test_fading_width_is_the_bartlett_count_at_full_rank():
@@ -336,13 +333,14 @@ def _assert_exact(cells):
 
 def test_outage_profile_estimates_match_closed_form():
     eta = SnrPoint(10.0)
-    rec = outage_record(SISO_L2, eta, R=1.0, trials=400_000, seed=101)
+    rec = SnrRecord(eta, 1.0, stop_counts(SISO_L2, [(eta, 1.0)], 400_000, seed=101)[0])
     oracle = siso_outage_profile(eta, 1.0, 2)
     _assert_exact([(f"p({l})", _short(rec, l), rec.trials, oracle[l]) for l in (1, 2)])
 
 
 def test_outage_profile_zero_rate_never_fails():
-    rec = outage_record(SISO_L2, SnrPoint(0.0), R=0.0, trials=10_000, seed=1)
+    eta = SnrPoint(0.0)
+    rec = SnrRecord(eta, 0.0, stop_counts(SISO_L2, [(eta, 0.0)], 10_000, seed=1)[0])
     assert rec.p_hat[0] == 1.0
     assert np.all(rec.p_hat[1:] == 0.0)
     assert math.isnan(rec.r_hat)  # r_bar / log2(eta) is undefined at 0 dB
@@ -353,7 +351,8 @@ def test_outage_profile_monotone_in_l_and_eta():
     seed = 77
     prev = None
     for db in (0.0, 5.0, 10.0):
-        rec = outage_record(cfg, SnrPoint(db), R=2.0, trials=20_000, seed=seed)
+        eta = SnrPoint(db)
+        rec = SnrRecord(eta, 2.0, stop_counts(cfg, [(eta, 2.0)], 20_000, seed=seed)[0])
         assert np.all(np.diff(rec.p_hat) <= 0)
         if prev is not None:
             # same seed: common fading draws couple the comparison
@@ -362,11 +361,10 @@ def test_outage_profile_monotone_in_l_and_eta():
 
 
 def test_outage_profile_deterministic_across_workers():
-    eta = SnrPoint(12.0)
-    a = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=1)
-    b = outage_record(SISO_L2, eta, 1.0, 50_000, seed=3, workers=4, chunk=999)
-    assert np.array_equal(a.p_hat, b.p_hat)
-    assert np.array_equal(a.stop_hist, b.stop_hist)
+    point = [(SnrPoint(12.0), 1.0)]
+    a = stop_counts(SISO_L2, point, 50_000, seed=3, workers=1)
+    b = stop_counts(SISO_L2, point, 50_000, seed=3, workers=4, chunk=999)
+    assert np.array_equal(a, b)
 
 
 def test_outage_profile_type_rejects_bad_vectors():
@@ -384,7 +382,8 @@ def test_outage_profile_type_rejects_bad_vectors():
 
 def test_records_compare_and_hash_by_identity():
     # stop_hist is an array, so field-wise == and hash() would raise; identity, as for the codebook types
-    rec = outage_record(SISO_L2, SnrPoint(10.0), 1.0, 1000, seed=1)
+    eta = SnrPoint(10.0)
+    rec = SnrRecord(eta, 1.0, stop_counts(SISO_L2, [(eta, 1.0)], 1000, seed=1)[0])
     twin = SnrRecord(rec.eta, rec.R, rec.stop_hist.copy())
     assert rec == rec
     assert rec != twin
@@ -516,9 +515,9 @@ def test_experiment_rejects_bad_args():
     with pytest.raises(ValueError):
         run_rateless_experiment(SISO_L2, -0.1, [SnrPoint(10.0)], 100, seed=0)
     with pytest.raises(ValueError):
-        outage_record(SISO_L2, SnrPoint(10.0), 1.0, 0, seed=0)
+        stop_counts(SISO_L2, [(SnrPoint(10.0), 1.0)], 0, seed=0)
     with pytest.raises(ValueError):
-        outage_record(SISO_L2, SnrPoint(10.0), -1.0, 100, seed=0)
+        stop_counts(SISO_L2, [(SnrPoint(10.0), -1.0)], 100, seed=0)
     with pytest.raises(ValueError):
         stop_counts(SISO_L2, [], 100, seed=0)
     two = [(SnrPoint(10.0), 1.0), (SnrPoint(20.0), 1.0)]
