@@ -13,10 +13,11 @@ Each trial's fading draw is reduced once to SNR-free statistics of H
 (:func:`channel_stats`): the coefficients of det(I + a H H*) as a
 polynomial in a, which at full rank come from a real bidiagonal matrix
 whose Gram matrix has the eigenvalue law of H H*; H itself is never
-formed. Every SNR of a sweep evaluates I_b from those same coefficients
-(:func:`block_info`). The SNR cells of one sweep thus share their draws
-(common random numbers), and a cell's counts do not depend on its
-position in the grid or on the other SNRs in it.
+formed. Every SNR of a sweep decides the stop rule from those same
+coefficients, by one threshold per (SNR, l) (:func:`still_short`). The
+SNR cells of one sweep thus share their draws (common random numbers),
+and a cell's counts do not depend on its position in the grid or on the
+other SNRs in it.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def rank_one_outage(M: int, N: int, eta: SnrPoint, rate: float) -> tuple[float, 
     """
     if min(M, N) != 1:
         raise ValueError(f"rank-one outage needs min(M, N) = 1, got {M}x{N}")
-    if rate < 0:
+    if not rate >= 0:  # so nan fails too
         raise ValueError(f"rate must be >= 0, got {rate}")
     k = max(M, N)
     x = M * (2.0**rate - 1.0) / eta.eta_linear
@@ -151,7 +152,7 @@ def fading_width(M: int, N: int) -> int:
     return 2 * M * N if K == 1 else K * m
 
 
-def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
+def channel_stats(u: np.ndarray, M: int, N: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """The SNR-free statistics of each trial's N x M fading, from its :func:`fading_width` uniforms.
 
     Returns e_1..e_K, shape (K, trials), K = min(M, N): the coefficients of det(I + a G) =
@@ -163,14 +164,15 @@ def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
     -log1p(-u) terms. The uniforms run: diagonal, then subdiagonal, each in row order. With
     D_0 = F_0 = 1 and c_-1 = 0, the leading minors D_k of I + a G follow
     F_k+1 = D_k + a c_k-1^2 F_k and D_k+1 = F_k+1 + a b_k^2 D_k, run here once as polynomials
-    in a; D_K is the determinant. Every step adds or multiplies nonnegative numbers.
+    in a; D_K is the determinant. Every step adds or multiplies nonnegative numbers. At full rank
+    the uniforms are first transposed into `scratch`, if given, of at least K m trials floats.
     """
     n = len(u)
     K, m = min(M, N), max(M, N)
     if K == 1:
         return -np.log1p(-u[:, 0::2]).sum(axis=1).reshape(1, n)
-    x = np.empty((K * m, n))  # one row per uniform: a transpose by blocks that stay in cache
-    for t in range(0, n, 1024):
+    x = (np.empty(K * m * n) if scratch is None else scratch[: K * m * n]).reshape(K * m, n)
+    for t in range(0, n, 1024):  # one row per uniform: a transpose by blocks that stay in cache
         x[:, t : t + 1024] = u[t : t + 1024].T
     np.log1p(np.negative(x, out=x), out=x)  # minus the Exp(1) terms
     terms = [m - j for j in range(K)] + [K - 1 - j for j in range(K - 1)]
@@ -183,27 +185,25 @@ def channel_stats(u: np.ndarray, M: int, N: int) -> np.ndarray:
     return np.array(d)
 
 
-def block_info(stats: np.ndarray, eta_linear: float, M: int) -> np.ndarray:
-    """Per-trial I_b = log2 det(I + a G), a = eta / M, from the coefficients of :func:`channel_stats`.
+def stop_levels(a: float, R: float, L: int) -> list[float]:
+    """Per block l = 1..L, the level t_l / a, t_l = 2^(L R / l) - 1, of :func:`still_short` at a = eta / M.
 
-    Horner: det(I + a G) - 1 = a (e_1 + a (e_2 + ... + a e_K)), nonnegative terms only.
+    2.0**y - 1 is exact at integer y, so a tie decodes (expm1 rounds above 2^11 - 1); 2^1024 is inf.
     """
-    a = eta_linear / M
-    x = a * stats[-1]
-    for e in stats[-2::-1]:
-        x += e
-        x *= a
-    return np.log1p(x) / _LN2
+    ys = [L * R / l for l in range(1, L + 1)]
+    return [(math.expm1(y * _LN2) if y < 1 else 2.0**y - 1 if y < 1024 else math.inf) / a for y in ys]
 
 
-def still_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
-    """Per block l = 1..L, which trials are still short of the message: l * I_b < L * R.
+def still_short(stats: np.ndarray, a: float, levels: Sequence[float], scratch=None) -> list[np.ndarray]:
+    """Per block l = 1..L, the trials still short of the message: l I_b < L R, Zheng & Tse's (2003) outage.
 
-    Ties count as decodable. The block length T cancels from both sides
-    and deliberately does not appear. Since I_b >= 0 the masks are nested:
-    a trial short after block l was short after every earlier block.
+    That is Q = (det(I + a G) - 1) / a = e_1 + a (e_2 + ... + a e_K) of :func:`channel_stats`, formed
+    in `scratch` if given, below the l-th of `levels`. Ties decode, T cancels, and the masks nest.
     """
-    return [l * ib < L * R for l in range(1, L + 1)]
+    Q = stats[-1]
+    for e in stats[-2::-1]:  # Horner, in scratch from its first step
+        Q = np.add(np.multiply(Q, a, out=scratch), e, out=scratch)
+    return [Q < level for level in levels]
 
 
 def stop_counts(
@@ -237,29 +237,29 @@ def stop_counts(
     if not points or (decoder is not None and len(points) != 1):
         raise ValueError("need at least one (eta, R) point, and exactly one with a decoder")
     for _, R in points:
-        if R < 0:
+        if not R >= 0:  # so nan fails too
             raise ValueError(f"R must be >= 0, got {R}")
     M, N, L = cfg.M, cfg.N, cfg.L
     n_h = fading_width(M, N)
     width = n_h + (decoder.width if decoder else 0)
     # stream 0: the key of every simulate output, golden file and perfbench outage digest
     key = rng.stream_key(seed, 0)
-    # one uniform buffer per worker thread, reused by its chunks: fresh chunk-sized
-    # buffers are often handed back to the OS and page-faulted in again by the next chunk
+    rules = [(eta.eta_linear / M, stop_levels(eta.eta_linear / M, R, L)) for eta, R in points]
+    # one uniform buffer and one scratch buffer (the transpose, then Horner) per worker thread, reused
+    # by its chunks: fresh chunk-sized buffers are often handed back to the OS and faulted in again
     local = threading.local()
 
     def one_chunk(t0: int, n: int) -> np.ndarray:
         if not hasattr(local, "u"):
-            local.u = np.empty(min(chunk, trials) * width)
+            local.u, local.x = np.empty(min(chunk, trials) * width), np.empty(min(chunk, trials) * n_h)
         u = rng.trial_uniforms(key, width, t0, n, out=local.u)
         fading, own = u[:, :n_h], u[:, n_h:]
-        stats = channel_stats(fading, M, N)
+        stats = channel_stats(fading, M, N, local.x)
         rows = []
-        for eta, R in points:
-            short = still_short(block_info(stats, eta.eta_linear, M), R, L)
+        for a, levels in rules:
+            short = still_short(stats, a, levels, local.x[:n])
             # nested masks: the drop in the short count at block l is the trials that stop there
-            left = np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64)
-            stops = -np.diff(left)
+            stops = -np.diff(np.array([n, *(np.count_nonzero(s) for s in short), 0], dtype=np.int64))
             rows.append(stops if decoder is None else np.concatenate((stops, decoder(own, stats, short))))
         return np.stack(rows)
 
@@ -319,7 +319,7 @@ def run_rateless_experiment(
     """
     if not eta_grid:
         raise ValueError("eta_grid must be nonempty")
-    if float(r_n) < 0:
+    if not float(r_n) >= 0:  # so nan fails too
         raise ValueError(f"r_n must be >= 0, got {r_n}")
     points = [(eta, float(r_n) * eta.log2_eta) for eta in eta_grid]
     rows = stop_counts(cfg, points, trials, seed, workers=workers, chunk=chunk)

@@ -3,7 +3,9 @@
 Each function handles one trial with plain Python control flow and an
 explicit matrix, so it shares no code path with `rateless_dmt.simulate`.
 The kernel tests feed both the same stream uniforms and compare per-trial
-results.
+results. `block_info` and `log_domain_short` are the batched exception:
+they decide the stop rule in the log domain, l * I_b < L * R, a second
+route to the masks the kernel decides on det(I + a G).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import Optional
 import numpy as np
 
 from rateless_dmt import SnrPoint, rank_one_outage
+
+_LN2 = math.log(2.0)
 
 
 def block_mutual_info(H: np.ndarray, eta: SnrPoint, M: Optional[int] = None) -> float:
@@ -79,6 +83,24 @@ def rateless_stop(I_b: float, R: float, L: int) -> Optional[int]:
         if l * I_b >= L * R:
             return l
     return None
+
+
+def block_info(stats: np.ndarray, eta_linear: float, M: int) -> np.ndarray:
+    """Per-trial I_b = log2 det(I + a G), a = eta / M, from the coefficients of `channel_stats`.
+
+    Horner: det(I + a G) - 1 = a (e_1 + a (e_2 + ... + a e_K)), nonnegative terms only.
+    """
+    a = eta_linear / M
+    x = a * stats[-1]
+    for e in stats[-2::-1]:
+        x += e
+        x *= a
+    return np.log1p(x) / _LN2
+
+
+def log_domain_short(ib: np.ndarray, R: float, L: int) -> list[np.ndarray]:
+    """Per block l = 1..L, which trials are short in the log domain: l * I_b < L * R, ties decode."""
+    return [l * ib < L * R for l in range(1, L + 1)]
 
 
 def siso_outage_profile(eta: SnrPoint, R: float, L: int) -> np.ndarray:

@@ -26,6 +26,10 @@ CASES = {
     # Full rank beyond 2x2: a 3x2 link, and a 4x4 one whose trials stop at blocks 3 and 4.
     "simulate_3x2_L2": ["simulate", "--M", "3", "--N", "2", "--L", "2", "--r-n", "1", *_FULL_RANK],
     "simulate_4x4_L4": ["simulate", "--M", "4", "--N", "4", "--L", "4", "--r-n", "2.5", *_FULL_RANK],
+    # Rank one with e_1 a sum of four terms, a = eta / 4, so the stop levels t_l / a are inexact,
+    # and L = 3, so L R / l is not an integer at l = 2; 0 dB has R = 0, and 10 dB stops at every l.
+    "simulate_4x1_L3": ["simulate", "--M", "4", "--N", "1", "--L", "3", "--r-n", "0.5", "--eta-db", "0,10,20,30",
+                        "--trials", "20000", "--seed", "7"],
     "codes_searched_b2": ["codes", "--bits", "2", *_CODES],
     "codes_identity_b3": ["codes", "--bits", "3", "--identity", *_CODES],
     # Hill-climb search: the budget cuts every restart, and every restart stops at a local optimum.

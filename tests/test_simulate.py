@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from reference import (
     bartlett_factor,
+    block_info,
     block_mutual_info,
     factor_mutual_info,
+    log_domain_short,
     rateless_stop,
     siso_outage_profile,
 )
@@ -30,11 +32,11 @@ from rateless_dmt import (
 from rateless_dmt.cli import main
 from rateless_dmt.simulate import (
     SnrRecord,
-    block_info,
     channel_stats,
     fading_width,
     still_short,
     stop_counts,
+    stop_levels,
 )
 from rateless_dmt.verify import exact_cells
 
@@ -90,11 +92,67 @@ def test_stop_rule_examples():
     assert rateless_stop(1.2, 1.0, 2) == 2
     assert rateless_stop(0.9, 1.0, 2) is None  # outage
     assert rateless_stop(0.0, 0.0, 3) == 1  # tie at zero rate decodes
-    # the kernel's rule agrees: still short after l blocks <=> stop block > l
+    # the kernel's rule agrees: still short after l blocks <=> stop block > l. At 0 dB a SISO
+    # link has a = 1, so the trial with e_1 = 2^I_b - 1 has exactly that I_b
+    a = SnrPoint(0.0).eta_linear
+    assert a == 1.0
     for ib, R, L in ((2.0, 1.0, 2), (1.2, 1.0, 2), (0.9, 1.0, 2), (0.0, 0.0, 3)):
-        short = still_short(np.array([ib]), R, L)
+        short = still_short(np.array([[2.0**ib - 1.0]]), a, stop_levels(a, R, L))
         stop = rateless_stop(ib, R, L)
         assert [bool(s[0]) for s in short] == [stop is None or stop > l for l in range(1, L + 1)]
+
+
+def test_stop_rule_exact_ties_decode():
+    # det(I + a G) = 2^k exactly at a = 1, with L R / l = k exactly (dyadic R): the trial stops
+    # at l. expm1(k ln 2) rounds above 2^k - 1 at k = 11 and 21, so a level taken from it fails
+    a = SnrPoint(0.0).eta_linear
+    assert a == 1.0 and all(math.expm1(k * math.log(2.0)) > 2.0**k - 1 for k in (11, 21))
+    L = 4
+    for k in range(1, 53):
+        stats = np.array([[2.0**k - 1.0]])
+        for l in range(1, L + 1):
+            R = k * l / L
+            assert L * R / l == k
+            stop = 1 + int(np.sum(still_short(stats, a, stop_levels(a, R, L))))
+            assert stop == l, (k, l)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_stop_rule_zero_and_infinite_rates_and_overflow(K):
+    # R = 0 never leaves a trial short and R = inf always does; a det(I + a G) whose a e_1
+    # overflows decodes, as l * I_b = inf did in the log domain
+    a = SnrPoint(100.0).eta_linear  # 1e10
+    e = np.array([[0.0, 1e-300, 1.0, 1e300]] + [[0.0, 1e-300, 1.0, 2.0]] * (K - 1))
+    L = 3
+    assert not np.any(still_short(e, a, stop_levels(a, 0.0, L)))
+    assert np.all(still_short(e, a, stop_levels(a, math.inf, L)))
+    R = 5.0
+    short = still_short(e, a, stop_levels(a, R, L))
+    with np.errstate(over="ignore"):
+        ib = block_info(e, a, 1)
+    assert ib[-1] == math.inf
+    assert [s.tolist() for s in short] == [s.tolist() for s in log_domain_short(ib, R, L)]
+    assert [bool(s[-1]) for s in short] == [False] * L
+
+
+def test_stop_rule_matches_log_domain_oracle():
+    # 2^18 trials per shape, 0-60 dB, a rate per level on both sides of min(M, N) / L: the
+    # determinant-domain masks equal the log-domain ones with no mismatch
+    trials, chunk = 1 << 18, 1 << 16
+    for M, N, L in KERNEL_SHAPES:
+        key = rng.stream_key(2029, 0)
+        for t0 in range(0, trials, chunk):
+            stats = channel_stats(rng.trial_uniforms(key, fading_width(M, N), t0, chunk), M, N)
+            scratch = np.empty(chunk)
+            for db in (0.0, 10.0, 30.0, 60.0):
+                eta = SnrPoint(db)
+                a = eta.eta_linear / M
+                ib = block_info(stats, eta.eta_linear, M)
+                for r_n in (0.25, 0.75, 1.5):
+                    R = r_n * eta.log2_eta
+                    short = still_short(stats, a, stop_levels(a, R, L), scratch)
+                    for got, ref in zip(short, log_domain_short(ib, R, L), strict=True):
+                        assert np.array_equal(got, ref), (M, N, L, db, r_n, t0)
 
 
 @given(
@@ -160,12 +218,13 @@ def test_kernel_matches_scalar_reference_per_trial(M, N, L, layout):
             ref_ib = np.array([block_mutual_info(row.reshape(N, M), snr) for row in channels])
         else:  # full rank reads its bidiagonal factor, one explicit matrix per trial
             ref_ib = np.array([factor_mutual_info(bartlett_factor(row, M, N), snr, M) for row in fading])
-        ib = block_info(stats, snr.eta_linear, M)
+        ib = block_info(stats, snr.eta_linear, M)  # the log-domain oracle of the stop rule
         np.testing.assert_allclose(ib, ref_ib, rtol=1e-12, atol=1e-12)
     # a rate that puts the message size in the middle of the I_b spread
     R = 0.75 * float(np.median(ref_ib))
 
-    stop = 1 + np.sum(still_short(ib, R, L), axis=0)  # L + 1 means outage
+    a = eta.eta_linear / M
+    stop = 1 + np.sum(still_short(stats, a, stop_levels(a, R, L)), axis=0)  # L + 1 means outage
     ref_stop = [rateless_stop(x, R, L) or L + 1 for x in ref_ib]
     assert stop.tolist() == ref_stop
     ref_hist = np.bincount(ref_stop, minlength=L + 2)[1:]
@@ -523,3 +582,25 @@ def test_experiment_rejects_bad_args():
     two = [(SnrPoint(10.0), 1.0), (SnrPoint(20.0), 1.0)]
     with pytest.raises(ValueError):
         stop_counts(SISO_L2, two, 100, seed=0, decoder=_CodeLayout(1, 1, 2))  # a decoder takes one point
+
+
+_RATE_ENTRY_POINTS = {
+    "stop_counts": lambda rate: stop_counts(SISO_L2, [(SnrPoint(10.0), rate)], 1000, seed=1)[0],
+    "run_rateless_experiment": lambda rate: run_rateless_experiment(SISO_L2, rate, [SnrPoint(10.0)], 1000, 1)[0],
+    "rank_one_outage": lambda rate: rank_one_outage(1, 1, SnrPoint(10.0), rate),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RATE_ENTRY_POINTS))
+def test_nan_rate_is_rejected_and_infinite_rate_is_all_outage(entry):
+    # nan < 0 is false, so a guard R < 0 let nan through as if every trial decoded at block 1
+    call = _RATE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=r"must be >= 0, got nan$"):
+        call(math.nan)
+    result = call(math.inf)
+    if entry == "stop_counts":
+        assert result.tolist() == [0, 0, 1000]
+    elif entry == "run_rateless_experiment":
+        assert result.stop_hist.tolist() == [0, 0, 1000] and result.p_hat.tolist() == [1.0, 1.0, 1.0]
+    else:
+        assert result[0] == 1.0
